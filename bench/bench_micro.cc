@@ -86,9 +86,8 @@ void BM_AuxGraphBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_AuxGraphBuild)->Arg(8)->Arg(32)->Arg(128);
 
-// Bicameral search over capped/uncapped queries × pruned/ablation kernels.
-// range(0) = n; range(1): 0 = capped, 1 = uncapped; range(2): 0 = pruned,
-// 1 = disable_pruning (full state space, legacy nested tables).
+// Bicameral search over capped/uncapped queries. range(0) = n;
+// range(1): 0 = capped, 1 = uncapped.
 void BM_BicameralSearch(benchmark::State& state) {
   util::Rng rng(777);
   const auto g = gen::erdos_renyi(rng, static_cast<int>(state.range(0)),
@@ -106,28 +105,20 @@ void BM_BicameralSearch(benchmark::State& state) {
   q.cap = 20;
   q.ratio = util::Rational(-1, 4);
   q.enforce_cap = state.range(1) == 0;
-  core::BicameralCycleFinder::Options opt;
-  opt.disable_pruning = state.range(2) != 0;
-  const core::BicameralCycleFinder finder(opt);
+  const core::BicameralCycleFinder finder;
   for (auto _ : state) {
     benchmark::DoNotOptimize(finder.find(residual, q));
   }
 }
 BENCHMARK(BM_BicameralSearch)
-    ->ArgNames({"n", "uncapped", "ablation"})
-    // Pruned kernel across sizes, capped (the production query shape).
-    ->Args({12, 0, 0})
-    ->Args({20, 0, 0})
-    ->Args({32, 0, 0})
-    // Ablation counterparts.
-    ->Args({12, 0, 1})
-    ->Args({20, 0, 1})
-    ->Args({32, 0, 1})
-    // Uncapped (budget schedule runs to the total-cost clamp) both ways.
-    ->Args({20, 1, 0})
-    ->Args({20, 1, 1})
-    ->Args({32, 1, 0})
-    ->Args({32, 1, 1});
+    ->ArgNames({"n", "uncapped"})
+    // Capped (the production query shape) across sizes.
+    ->Args({12, 0})
+    ->Args({20, 0})
+    ->Args({32, 0})
+    // Uncapped (budget schedule runs to the total-cost clamp).
+    ->Args({20, 1})
+    ->Args({32, 1});
 
 void BM_SimplexNetworkLp(benchmark::State& state) {
   const auto g = make_graph(static_cast<int>(state.range(0)));

@@ -18,9 +18,10 @@ holds:
   * a gate metric violates its absolute floor/ceiling ("min"/"max" in the
     baseline entry) — the hard acceptance bar, independent of drift.
 
-Gate metrics are host-independent ratios (speedups, pruned fraction,
-memory ratio), so comparing a laptop baseline against a CI runner is
-meaningful; wall-clock milliseconds are reported but never gated.
+Gate metrics are host-independent ratios or deterministic counts (pruned
+fraction, DP rounds per find, peak DP bytes), so comparing a laptop
+baseline against a CI runner is meaningful; wall-clock milliseconds are
+reported but never gated.
 """
 
 import json

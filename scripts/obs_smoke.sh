@@ -5,7 +5,7 @@
 # per-request `timing` flag over the raw socket, shut the server down,
 # then validate every exported artifact:
 #   * the Chrome trace is valid JSON and contains the span taxonomy the
-#     serving path promises (phase1, rsp_oracle, cycle_cancel_round,
+#     serving path promises (phase1, bicameral_find, cycle_cancel_round,
 #     queue_wait, cache_lookup, admission);
 #   * the metrics exposition carries per-SLA-class latency quantiles;
 #   * a timing-flagged solve response breaks its latency down;
@@ -134,7 +134,7 @@ with open(sys.argv[1]) as f:
 events = trace["traceEvents"]
 assert events, "trace has no events"
 names = {e["name"] for e in events}
-expected = {"phase1", "rsp_oracle", "cycle_cancel_round", "queue_wait",
+expected = {"phase1", "bicameral_find", "cycle_cancel_round", "queue_wait",
             "cache_lookup", "admission", "wire_handle", "transport_read"}
 missing = expected - names
 assert not missing, "trace missing spans: %s (have %s)" % (

@@ -15,11 +15,11 @@
 // simple and confined to one strongly connected component). Min-delay
 // closed walks are decomposed into simple residual cycles and classified;
 // type-0 hits return immediately, otherwise the best qualifying
-// type-1/type-2 candidate wins. Budgets B follow a doubling schedule up to
-// cap (the binary-search refinement the paper sketches in §4.2); witness
-// prefix confinement (ascent <= C_OPT <= cap) guarantees completeness at
-// B = cap. The LP-based reference finder (core/lp_cycle_finder.h)
-// cross-validates this component in tests.
+// type-1/type-2 candidate of the first productive budget wins. Budgets B
+// follow a doubling schedule up to 2·cap (the binary-search refinement the
+// paper sketches in §4.2, with headroom for seed rotations). The LP-based
+// reference finder (core/lp_cycle_finder.h) cross-validates this
+// component in tests.
 //
 // Residual-structure pruning (DESIGN.md §3). Every qualifying cycle has
 // negative total cost or negative total delay, so it contains at least one
@@ -30,10 +30,16 @@
 // (max-prefix rotation), skips every SCC with no internal negative arc,
 // runs each anchor's DP on its own SCC with compacted vertex ids
 // (|scc|·(budget+1) states instead of n·(budget+1)), and stores the DP in
-// flat rolling arrays. Options::disable_pruning keeps the same anchor
-// semantics but executes on the full uncompacted state space with the
-// legacy eagerly-cleared nested tables — the measured-identical ablation
-// baseline for bench_kernel (E13) and the prune property test.
+// flat rolling arrays.
+//
+// Walk-length deepening. Capped finds run the budget schedule once per
+// walk-length cap R = 16, 32, … up to the largest per-anchor bound
+// min(max_rounds, |SCC|); each step clamps the budget ceiling to R·max|c|
+// (exact: an R-edge walk cannot leave that range), skips anchors whose
+// bound an earlier step already reached, and returns at the first step
+// that yields a qualifying cycle. The last step is the full scan, so the
+// finder still returns a qualifying cycle exactly when one exists; any one
+// sustains Lemmas 11/12 (DESIGN.md §3's early-accept argument).
 //
 // Note on Algorithm 3 step 2-3 as printed: the brief announcement selects
 // O2 by "minimum d/c with c < 0" and compares absolute ratios; consistent
@@ -76,13 +82,16 @@ struct BicameralStats {
   std::int64_t walks_examined = 0;
   std::int64_t cycles_classified = 0;
   std::int64_t budgets_tried = 0;
+  /// Bellman–Ford relaxation rounds, summed over anchor scans — the
+  /// kernel's host-independent work measure.
+  std::int64_t dp_rounds = 0;
   /// Anchors NOT scanned relative to the classical all-vertices scan,
   /// summed over (budget, sign) passes: non-seed vertices plus seeds whose
   /// SCC has no internal negative arc.
   std::int64_t anchors_pruned = 0;
   /// SCCs containing at least one seed anchor but no internal negative arc
   /// — their anchors are provably barren and skipped (counted once per
-  /// find() call). Always 0 when pruning is disabled.
+  /// find() call).
   std::int64_t sccs_skipped = 0;
   /// High-water mark of the DP tables (dist rows + parent records) across
   /// all anchors, in bytes. Max-aggregated, never summed.
@@ -124,13 +133,9 @@ class BicameralCycleFinder {
     /// First budget of the doubling schedule.
     graph::Cost initial_budget = 8;
     /// Hard bound on Bellman–Ford rounds per anchor; <= 0 means the size of
-    /// the anchor's SCC (the witness-cycle length bound).
+    /// the anchor's SCC (the witness-cycle length bound). The deepening
+    /// schedule never exceeds it.
     int max_rounds = 0;
-    /// Ablation: run the same seed-anchored scans on the full n·(budget+1)
-    /// state space with the legacy nested-vector tables instead of the
-    /// SCC-compacted flat kernel. Bit-identical results, measured by
-    /// bench_kernel (E13) and asserted by bicameral_prune_test.
-    bool disable_pruning = false;
   };
 
   BicameralCycleFinder() : options_(Options{}) {}

@@ -72,12 +72,10 @@ CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
     } else {
       residual->rebuild(out.paths.all_edges());
     }
-    // The finder is this implementation's RSP oracle: each round delegates
-    // the restricted (cost-capped) negative-cycle search to the bicameral
-    // walk DP over the residual graph, the role Algorithm 1 assigns to an
-    // RSP invocation.
+    // Each round delegates the restricted (cost-capped) negative-cycle
+    // search to the bicameral walk DP over the residual graph.
     const auto cycle = [&] {
-      KRSP_OBS_SPAN("rsp_oracle");
+      KRSP_OBS_SPAN("bicameral_find");
       return finder.find(*residual, query, &out.telemetry.finder_stats,
                          finder_ws);
     }();

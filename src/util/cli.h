@@ -1,10 +1,15 @@
-// Minimal command-line flag parsing for examples and benchmark drivers.
+// Minimal command-line flag parsing for tools, examples and benchmark
+// drivers.
 //
-// Supports `--name=value`, `--name value`, and boolean `--name`. Unknown
-// flags are an error so typos in experiment scripts fail loudly.
+// Supports `--name=value`, `--name value`, and boolean `--name`. A
+// positional argument, an unknown flag, or a value that does not parse as
+// the requested number throws CliError, so typos fail loudly; tools wrap
+// their main body in run_tool() to turn that into usage plus exit 2.
 #pragma once
 
+#include <charconv>
 #include <cstdint>
+#include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -15,12 +20,20 @@
 
 namespace krsp::util {
 
+/// A malformed command line. A CheckError, so code that already handles
+/// library check failures keeps catching it.
+class CliError : public CheckError {
+ public:
+  using CheckError::CheckError;
+};
+
 class Cli {
  public:
   Cli(int argc, const char* const* argv) {
     for (int i = 1; i < argc; ++i) {
       std::string arg = argv[i];
-      KRSP_CHECK_MSG(arg.rfind("--", 0) == 0, "unexpected argument: " << arg);
+      if (arg.rfind("--", 0) != 0)
+        throw CliError("unexpected argument: " + arg);
       arg = arg.substr(2);
       const auto eq = arg.find('=');
       if (eq != std::string::npos) {
@@ -49,13 +62,13 @@ class Cli {
                                      std::int64_t def) const {
     const auto s = get_string(name, "");
     if (s.empty()) return def;
-    return std::stoll(s);
+    return parse_number<std::int64_t>(name, s);
   }
 
   [[nodiscard]] double get_double(const std::string& name, double def) const {
     const auto s = get_string(name, "");
     if (s.empty()) return def;
-    return std::stod(s);
+    return parse_number<double>(name, s);
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const {
@@ -70,13 +83,37 @@ class Cli {
       bool known = false;
       for (const auto& t : touched_)
         if (t == name) known = true;
-      KRSP_CHECK_MSG(known, "unknown flag --" << name << "=" << value);
+      if (!known) throw CliError("unknown flag --" + name + "=" + value);
     }
   }
 
  private:
+  // The whole value must parse: "12abc", "abc" or an out-of-range value is
+  // an error, not 12 or an exception from std::stoll escaping the caller.
+  template <class T>
+  static T parse_number(const std::string& name, const std::string& value) {
+    T number{};
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, number);
+    if (ec != std::errc() || ptr != end)
+      throw CliError("--" + name + "=" + value + ": not a number");
+    return number;
+  }
+
   std::map<std::string, std::string> values_;
   mutable std::vector<std::string> touched_;
 };
+
+/// Runs a tool's main body; a malformed command line prints the error and
+/// the tool's usage line on stderr and exits 2 instead of escaping main.
+template <class Body>
+int run_tool(const char* usage, Body&& body) {
+  try {
+    return body();
+  } catch (const CliError& e) {
+    std::cerr << e.what() << "\n" << usage << "\n";
+    return 2;
+  }
+}
 
 }  // namespace krsp::util

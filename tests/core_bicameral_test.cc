@@ -284,13 +284,6 @@ TEST(Finder, NearMaxCapSaturatesBudgetSchedule) {
   EXPECT_EQ(cycle->delay, -8);
   // Clamped ceiling: budgets stop at n·max|c| = 12, i.e. 8 then 12.
   EXPECT_LE(stats.budgets_tried, 2);
-
-  // The ablation kernel shares the clamp and the saturating doubling.
-  BicameralCycleFinder::Options ablation;
-  ablation.disable_pruning = true;
-  const auto same = BicameralCycleFinder(ablation).find(residual, q);
-  ASSERT_TRUE(same.has_value());
-  EXPECT_EQ(same->edges, cycle->edges);
 }
 
 TEST(Finder, SeedRotationNeedsBudgetHeadroom) {
@@ -315,12 +308,48 @@ TEST(Finder, SeedRotationNeedsBudgetHeadroom) {
   EXPECT_EQ(cycle->type, CycleType::kType1);
   EXPECT_EQ(cycle->cost, 7);
   EXPECT_EQ(cycle->delay, -2);
+}
 
-  BicameralCycleFinder::Options ablation;
-  ablation.disable_pruning = true;
-  const auto same = BicameralCycleFinder(ablation).find(residual, q);
-  ASSERT_TRUE(same.has_value());
-  EXPECT_EQ(same->edges, cycle->edges);
+TEST(Finder, OnlyQualifyingCycleLongerThanFirstRoundCap) {
+  // Regression for the walk-length deepening: its first step caps walks at
+  // 16 arcs, and the only qualifying cycle here has 20. Ring 0→1→…→19→0
+  // alternates forward arcs (cost 3, delay 1) with reversed flow arcs
+  // (cost −1, delay −3): cost 20, delay −20, type-1 for cap 25, r = −1/2.
+  // Chords 2i→2i−2 (cost 0, delay 5) close short cycles — every 3-cycle
+  // (cost 2, delay 3) and the 10-chord ring (cost 0, delay 50) — none of
+  // which qualifies, so no walk of <= 16 arcs holds a qualifying cycle and
+  // only the full-bound step can find the ring.
+  constexpr int kRing = 20;
+  graph::Digraph g(kRing);
+  std::vector<EdgeId> flow;
+  for (int i = 0; i < kRing; ++i) {
+    const int next = (i + 1) % kRing;
+    if (i % 2 == 0) {
+      g.add_edge(i, next, 3, 1);
+    } else {
+      flow.push_back(g.add_edge(next, i, 1, 3));
+    }
+  }
+  for (int i = 0; i < kRing; i += 2)
+    g.add_edge(i, (i + kRing - 2) % kRing, 0, 5);
+  const ResidualGraph residual(g, flow);
+  BicameralQuery q;
+  q.cap = 25;
+  q.ratio = Rational(-1, 2);
+  BicameralStats stats;
+  BicameralWorkspace ws;
+  const auto cycle = BicameralCycleFinder().find(residual, q, &stats, &ws);
+  ASSERT_TRUE(cycle.has_value());
+  EXPECT_EQ(cycle->type, CycleType::kType1);
+  EXPECT_EQ(cycle->edges.size(), static_cast<std::size_t>(kRing));
+  EXPECT_EQ(cycle->cost, 20);
+  EXPECT_EQ(cycle->delay, -20);
+  EXPECT_TRUE(graph::is_simple_cycle(residual.digraph(), cycle->edges));
+  // The capped step ran first and came up empty at budgets 8, 16, 32, 48
+  // (its ceiling is 16·max|c|); the full step then found the ring at
+  // budget 32 (its seed rotation peaks at 21).
+  EXPECT_EQ(stats.budgets_tried, 4 + 3);
+  EXPECT_GT(stats.dp_rounds, 0);
 }
 
 TEST(Finder, PruningStatsExposeSkippedWork) {

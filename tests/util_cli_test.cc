@@ -51,7 +51,25 @@ TEST(Cli, RejectUnknownPassesWhenAllTouched) {
 
 TEST(Cli, NonFlagArgumentThrows) {
   std::vector<const char*> argv{"prog", "positional"};
-  EXPECT_THROW(Cli(2, argv.data()), CheckError);
+  EXPECT_THROW(Cli(2, argv.data()), CliError);
+}
+
+TEST(Cli, MalformedNumbersThrow) {
+  const auto cli = make({"--n=12x", "--eps=abc", "--big=99999999999999999999"});
+  EXPECT_THROW((void)cli.get_int("n", 0), CliError);
+  EXPECT_THROW((void)cli.get_double("eps", 0.0), CliError);
+  EXPECT_THROW((void)cli.get_int("big", 0), CliError);
+}
+
+TEST(Cli, RunToolTurnsCliErrorsIntoExitTwo) {
+  EXPECT_EQ(run_tool("usage: prog", [] { return 7; }), 7);
+  EXPECT_EQ(run_tool("usage: prog",
+                     [] {
+                       const auto cli = make({"--oops"});
+                       cli.reject_unknown();
+                       return 0;
+                     }),
+            2);
 }
 
 }  // namespace

@@ -9,8 +9,8 @@
 //                [--quiet]
 //
 // --trace-out enables the obs tracer for the run and writes every
-// worker's span timeline (solve, phase1, mcmf, rsp_oracle,
-// cycle_cancel_round, anchor_dp_batch, queue_wait) as Chrome trace-event
+// worker's span timeline (solve, phase1, mcmf, cycle_cancel_round,
+// bicameral_find, anchor_dp_batch, queue_wait) as Chrome trace-event
 // JSON: the per-thread lanes make engine utilization and queueing
 // visible at a glance. --trace-sample=N keeps every Nth span per thread.
 //
@@ -43,6 +43,13 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: krsp_batch --instances=<a.kri,b.kri,...> [--repeat=1] "
+    "[--threads=0] [--mode=scaled|exact|phase1] [--eps1=0.25] "
+    "[--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
+    "[--guess=binary|doubling] [--no-reuse] [--trace-out=<file>] "
+    "[--trace-sample=1] [--quiet]";
+
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> parts;
   std::istringstream is(csv);
@@ -52,9 +59,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
   return parts;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace krsp;
   using Clock = std::chrono::steady_clock;
   const util::Cli cli(argc, argv);
@@ -75,12 +80,7 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   if (files.empty() || repeat < 1) {
-    std::cerr << "usage: krsp_batch --instances=<a.kri,b.kri,...> "
-                 "[--repeat=1] [--threads=0] [--mode=scaled|exact|phase1] "
-                 "[--eps1=0.25] [--eps2=0.25] [--eps=0.25] "
-                 "[--deadline=<seconds>] [--guess=binary|doubling] "
-                 "[--no-reuse] [--trace-out=<file>] [--trace-sample=1] "
-                 "[--quiet]\n";
+    std::cerr << kUsage << "\n";
     return 2;
   }
   if (!trace_out.empty()) {
@@ -202,4 +202,10 @@ int main(int argc, char** argv) {
   // Non-zero exit only for failures the caller should not ignore;
   // infeasible instances are a valid answer, not an error.
   return by_status.count("failed") > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -18,7 +18,14 @@
 #include "store/container.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: krsp_gen [--family=er|waxman|grid|layered|isp|ba|chains] "
+    "[--n=20] [--k=2] [--slack=0.3] [--seed=1] [--attach=2] [--core=8] "
+    "[--regions=4] [--region-size=5] [--out=instance.kri|.krspb]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const std::string family = cli.get_string("family", "er");
@@ -78,4 +85,10 @@ int main(int argc, char** argv) {
   std::cout << "wrote " << out << (binary ? " (container)" : "") << ": "
             << inst->summary() << "\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

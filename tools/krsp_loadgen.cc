@@ -79,6 +79,16 @@ using namespace krsp;
 namespace wire = krsp::server::wire;
 using Clock = std::chrono::steady_clock;
 
+constexpr char kUsage[] =
+    "usage: krsp_loadgen --socket=<path>|--connect=<host:port> "
+    "[--requests=64] [--connections=4] [--rate=0] [--pool=8] [--n=12] "
+    "[--k=2] [--seed=17] [--topology=id1,id2,...] [--catalog=<dir>] "
+    "[--mode=exact|scaled|phase1] [--eps1] [--eps2] [--deadline=0] "
+    "[--class=interactive|batch] [--retries=0] [--retry-base-ms=10] "
+    "[--retry-max-ms=500] [--retry-budget-ms=0] [--timeout-ms=0] "
+    "[--fault-rate=0] [--fault-seed=1] [--latency-out=<file>] [--check] "
+    "[--stats] [--shutdown] [--quiet]";
+
 struct PoolEntry {
   std::string id;               // request id ("pool-<i>"), echoed back
   std::string request_line;     // fully serialized solve request
@@ -131,9 +141,7 @@ struct WorkerReport {
   server::ClientCounters client;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const std::string socket_path = cli.get_string("socket", "");
   const std::string connect_spec = cli.get_string("connect", "");
@@ -168,16 +176,7 @@ int main(int argc, char** argv) {
 
   if (socket_path.empty() == connect_spec.empty() || requests < 1 ||
       connections < 1 || pool_size < 1) {
-    std::cerr << "usage: krsp_loadgen --socket=<path>|--connect=<host:port> "
-                 "[--requests=64] "
-                 "[--connections=4] [--rate=0] [--pool=8] [--n=12] [--k=2] "
-                 "[--seed=17] [--topology=id1,id2,...] [--catalog=<dir>] "
-                 "[--mode=exact|scaled|phase1] [--eps1] [--eps2] "
-                 "[--deadline=0] [--class=interactive|batch] [--retries=0] "
-                 "[--retry-base-ms=10] [--retry-max-ms=500] "
-                 "[--retry-budget-ms=0] [--timeout-ms=0] [--fault-rate=0] "
-                 "[--fault-seed=1] [--latency-out=<file>] [--check] "
-                 "[--stats] [--shutdown] [--quiet]\n";
+    std::cerr << kUsage << "\n";
     return 2;
   }
   if (check && !topology.empty() && catalog_dir.empty()) {
@@ -523,4 +522,10 @@ int main(int argc, char** argv) {
   if (check && !quiet)
     std::cout << "all served responses bit-identical to direct solve\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -22,6 +22,10 @@ namespace {
 
 using namespace krsp;
 
+constexpr char kUsage[] =
+    "usage: krsp_pack --in=<file> --out=<file> | --info=<file.krspb> | "
+    "--verify=<file.krspb>";
+
 bool is_container(const std::string& path) {
   return path.size() >= 6 && path.ends_with(".krspb");
 }
@@ -49,9 +53,7 @@ int info(const std::string& path) {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const std::string in = cli.get_string("in", "");
   const std::string out = cli.get_string("out", "");
@@ -69,8 +71,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     if (in.empty() || out.empty()) {
-      std::cerr << "usage: krsp_pack --in=<file> --out=<file> | "
-                   "--info=<file.krspb> | --verify=<file.krspb>\n";
+      std::cerr << kUsage << "\n";
       return 2;
     }
     const core::Instance inst = is_container(in)
@@ -87,4 +88,10 @@ int main(int argc, char** argv) {
     std::cerr << "krsp_pack: " << e.what() << "\n";
     return 1;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

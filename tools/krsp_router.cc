@@ -1,7 +1,7 @@
 // Fleet front tier: routes solve traffic across N krsp_serve shards.
 //
-//   $ krsp_router --socket=/tmp/krsp-router.sock \
-//                 --shards=/tmp/shard-a.sock,127.0.0.1:4701 \
+//   $ krsp_router --socket=/tmp/krsp-router.sock
+//                 --shards=/tmp/shard-a.sock,127.0.0.1:4701
 //                 [--catalog=DIR] [--vnodes=128] [--probe-interval-ms=200]
 //                 [--mark-down-after=3] [--mark-up-after=2]
 //                 [--forward-timeout-ms=0] [--forward-retries=0]
@@ -43,15 +43,20 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: krsp_router --socket=<path>|--tcp=<port> --shards=ep1,ep2,... "
+    "[--catalog=<dir>] [--vnodes=128] [--probe-interval-ms=200] "
+    "[--mark-down-after=3] [--mark-up-after=2] [--forward-timeout-ms=0] "
+    "[--forward-retries=0] [--drain-wait-ms=5000] [--quiet]  (exactly one "
+    "of --socket / --tcp; shard endpoints are socket paths or host:port)";
+
 krsp::server::SocketServer* g_server = nullptr;
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const std::string socket_path = cli.get_string("socket", "");
@@ -82,13 +87,7 @@ int main(int argc, char** argv) {
     if (!spec.empty()) endpoints.push_back(server::Endpoint::parse(spec));
   if (socket_path.empty() == !use_tcp || tcp_port > 65535 ||
       endpoints.empty() || options.vnodes < 1) {
-    std::cerr << "usage: krsp_router --socket=<path>|--tcp=<port> "
-                 "--shards=ep1,ep2,... [--catalog=<dir>] [--vnodes=128] "
-                 "[--probe-interval-ms=200] [--mark-down-after=3] "
-                 "[--mark-up-after=2] [--forward-timeout-ms=0] "
-                 "[--forward-retries=0] [--drain-wait-ms=5000] [--quiet]  "
-                 "(exactly one of --socket / --tcp; shard endpoints are "
-                 "socket paths or host:port)\n";
+    std::cerr << kUsage << "\n";
     return 2;
   }
 
@@ -182,4 +181,10 @@ int main(int argc, char** argv) {
     std::cout << w.done() << "\n" << std::flush;
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -60,6 +60,14 @@
 
 namespace {
 
+constexpr char kUsage[] =
+    "usage: krsp_serve --socket=<path>|--tcp=<port> [--catalog=<dir>] "
+    "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
+    "[--degrade-wait=0] [--overload-eps-factor=2] [--overload-eps-cap=1] "
+    "[--cache-capacity=1024] [--cache-shards=8] [--no-cache] "
+    "[--no-deadline-admission] [--no-reuse] [--trace-out=FILE] "
+    "[--trace-sample=1] [--quiet]  (exactly one of --socket / --tcp)";
+
 krsp::server::SocketServer* g_server = nullptr;
 
 void on_signal(int) {
@@ -76,9 +84,7 @@ void class_stats_fields(krsp::server::wire::ObjectWriter& w,
   w.field(p + "_degraded", cs.degraded);
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const std::string socket_path = cli.get_string("socket", "");
@@ -107,14 +113,7 @@ int main(int argc, char** argv) {
 
   const bool use_tcp = tcp_port >= 0;
   if (socket_path.empty() == !use_tcp || tcp_port > 65535) {
-    std::cerr << "usage: krsp_serve --socket=<path>|--tcp=<port> "
-                 "[--catalog=<dir>] "
-                 "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
-                 "[--degrade-wait=0] [--overload-eps-factor=2] "
-                 "[--overload-eps-cap=1] [--cache-capacity=1024] "
-                 "[--cache-shards=8] [--no-cache] [--no-deadline-admission] "
-                 "[--no-reuse] [--trace-out=FILE] [--trace-sample=1] "
-                 "[--quiet]  (exactly one of --socket / --tcp)\n";
+    std::cerr << kUsage << "\n";
     return 2;
   }
 
@@ -243,4 +242,10 @@ int main(int argc, char** argv) {
       std::cout << "krsp_serve: wrote trace to " << trace_out << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -9,8 +9,8 @@
 //
 // --eps remains as a back-compat alias that sets both eps1 and eps2;
 // explicit --eps1/--eps2 win over it. --trace-out enables the obs tracer
-// and writes the solve's span timeline (phase1, mcmf, rsp_oracle,
-// cycle_cancel_round, anchor_dp_batch) as Chrome trace-event JSON for
+// and writes the solve's span timeline (phase1, mcmf, cycle_cancel_round,
+// bicameral_find, anchor_dp_batch) as Chrome trace-event JSON for
 // chrome://tracing / ui.perfetto.dev.
 #include <fstream>
 #include <iostream>
@@ -20,7 +20,15 @@
 #include "obs/trace.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: krsp_solve --instance=<file> [--mode=scaled|exact|phase1] "
+    "[--eps1=0.25] [--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
+    "[--guess=binary|doubling] [--out=<file>] [--trace-out=<file>] "
+    "[--verbose]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const std::string path = cli.get_string("instance", "");
@@ -36,10 +44,7 @@ int main(int argc, char** argv) {
   cli.reject_unknown();
 
   if (path.empty()) {
-    std::cerr << "usage: krsp_solve --instance=<file> [--mode=scaled|exact|"
-                 "phase1] [--eps1=0.25] [--eps2=0.25] [--eps=0.25] "
-                 "[--deadline=<seconds>] [--guess=binary|doubling] "
-                 "[--out=<file>] [--trace-out=<file>] [--verbose]\n";
+    std::cerr << kUsage << "\n";
     return 2;
   }
   if (!trace_out.empty()) obs::Tracer::global().enable();
@@ -130,4 +135,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote trace " << trace_out << "\n";
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -1,4 +1,5 @@
-# End-to-end CLI smoke test: krsp_gen -> krsp_solve in all three modes.
+# End-to-end CLI smoke test: krsp_gen -> krsp_solve in all three modes,
+# the batch engine, and malformed command lines.
 set(instance "${WORK_DIR}/smoke.kri")
 set(solution "${WORK_DIR}/smoke.krp")
 
@@ -47,3 +48,16 @@ endif()
 if(NOT out MATCHES "throughput: ")
   message(FATAL_ERROR "unexpected krsp_batch output: ${out}")
 endif()
+
+# Malformed command lines print the error plus the usage line and exit 2
+# (never an uncaught exception): an unknown flag, a positional argument,
+# and a value that is not a number.
+foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc")
+  list(POP_FRONT case tool)
+  execute_process(
+    COMMAND ${KRSP_${tool}} ${case}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: krsp_")
+    message(FATAL_ERROR "bad command line '${case}' gave (${rc}): ${out}${err}")
+  endif()
+endforeach()
