@@ -24,9 +24,10 @@ struct Config {
   core::SolverOptions options;
 };
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_ablation [--trials=25] [--n=12] [--seed=9]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 25));
   const int n = static_cast<int>(cli.get_int("n", 12));
@@ -122,4 +123,10 @@ int main(int argc, char** argv) {
                "witness guarantee needs up to n rounds) while never "
                "violating validity.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

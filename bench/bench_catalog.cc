@@ -104,9 +104,11 @@ double run_form(const std::vector<std::string>& lines, int requests,
   return static_cast<double>(requests) / seconds;
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_catalog --corpus=data/corpus [--requests=300] "
+    "[--mode=phase1] [--out=BENCH_catalog.json] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const std::string corpus = cli.get_string("corpus", "data/corpus");
@@ -202,4 +204,10 @@ int main(int argc, char** argv) {
     std::cout << "wrote " << out_path << "\n";
   }
   return identical ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

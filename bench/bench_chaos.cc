@@ -21,7 +21,13 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_chaos [--trials=8] [--n=24] [--events=200] [--seed=7] "
+    "[--deadline-ms=0] [--sim]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
 
   const util::Cli cli(argc, argv);
@@ -148,4 +154,10 @@ int main(int argc, char** argv) {
                " availability stays high under churn, and cost drift stays "
                "a small constant factor above the fresh-solve optimum.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -256,9 +256,12 @@ void write_json(const std::string& path, int requests, int pool, int n,
   std::cout << "wrote " << path << "\n";
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_chaos_serving [--requests=120] [--pool=6] [--n=12] "
+    "[--seed=23] [--threads=0] [--clients=4] [--retries=16] "
+    "[--out=BENCH_chaos_serving.json] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
@@ -355,4 +358,10 @@ int main(int argc, char** argv) {
               << " requests eventually served bit-identical under every "
                  "fault rate\n";
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -58,9 +58,9 @@ std::vector<Algo> algorithms() {
   return algos;
 }
 
-}  // namespace
+constexpr char kUsage[] = "usage: bench_compare [--trials=20] [--seed=2]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 20));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 2)));
@@ -160,4 +160,10 @@ int main(int argc, char** argv) {
                "LARAC-k / OS-CC on cost while staying delay-feasible; "
                "min-cost flow violates the bound, min-delay flow overpays.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

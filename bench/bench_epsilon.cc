@@ -15,7 +15,12 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_epsilon [--trials=10] [--n=12] [--seed=5] [--csv=out.csv]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 10));
@@ -101,4 +106,10 @@ int main(int argc, char** argv) {
                "reference as eps shrinks (cost/ref -> 1, delay/D <= 1+eps); "
                "runtime grows as eps shrinks.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

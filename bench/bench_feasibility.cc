@@ -14,7 +14,11 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] = "usage: bench_feasibility [--trials=40] [--seed=7]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 40));
@@ -87,4 +91,10 @@ int main(int argc, char** argv) {
                "tight-1 rows are all infeasible-or-no-k, loose rows all "
                "solved-or-no-k.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -25,9 +25,10 @@ std::vector<krsp::graph::Delay> parse_list(const std::string& csv) {
   return values;
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_fig1 [--c_opt=5] [--d_values=2,4,8,16,32,64]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const auto c_opt = cli.get_int("c_opt", 5);
@@ -82,4 +83,10 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: capped ratio stays at 1 (<= 2 in general); "
                "uncapped ratio grows linearly in D.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

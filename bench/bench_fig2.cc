@@ -4,6 +4,8 @@
 // (a) the base graph with current path s-x-y-z-t, (b) its residual graph
 // (Definition 6), (c) H_x^+(B) for B = 6 (Algorithm 2), and the bicameral
 // cycle the finder extracts from it.
+//
+// Usage: bench_fig2
 #include <iostream>
 
 #include "core/aux_graph.h"
@@ -13,7 +15,11 @@
 #include "util/cli.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] = "usage: bench_fig2";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   cli.reject_unknown();
@@ -84,4 +90,10 @@ int main(int argc, char** argv) {
   std::cout << "\nExpected shape: the positive-cost (0 < c <= B) delay-"
                "reducing cycle x->z->y->x with cost 1, delay -6 is found.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

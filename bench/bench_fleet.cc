@@ -269,9 +269,12 @@ PhaseReport run_phase(Fleet& fleet, const std::vector<std::string>& queries,
   return total;
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_fleet --corpus=data/corpus [--queries=64] [--cache=48] "
+    "[--requests=600] [--workers=2] [--trials=3] [--overload-workers=8] "
+    "[--overload-requests=160] [--out=BENCH_fleet.json] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const std::string corpus = cli.get_string("corpus", "data/corpus");
@@ -452,4 +455,10 @@ int main(int argc, char** argv) {
     std::cout << "\nall phases passed: identity, " << sweep.size()
               << "-point shard sweep, overload shedding\n";
   return rc;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -15,7 +15,11 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] = "usage: bench_iterations [--trials=15] [--seed=4]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 15));
@@ -81,4 +85,10 @@ int main(int argc, char** argv) {
                "Lemma-13 pseudo-polynomial bound |D|*Sum(c)*Sum(d)); the "
                "ratio trace is monotone in 100% of runs (Lemma 12).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -140,9 +140,11 @@ void write_json(const std::string& path, int n, int instances, int k,
   out << "}\n";
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_kernel [--n=256] [--instances=4] [--k=3] [--reps=3] "
+    "[--seed=13] [--out=BENCH_kernel.json] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const int n = static_cast<int>(cli.get_int("n", smoke ? 64 : 256));
@@ -236,4 +238,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "serial and parallel results bit-identical\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

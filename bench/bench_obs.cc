@@ -199,9 +199,12 @@ void write_json(const std::string& path, int requests, int pool, int n,
   std::cout << "wrote " << path << "\n";
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_obs [--requests=4800] [--pool=8] [--n=14] [--seed=21] "
+    "[--threads=1] [--clients=1] [--trials=3] [--out=BENCH_obs.json] "
+    "[--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   // Long trials beat many trials here: one 480-request arm is ~0.12 s of
@@ -354,4 +357,10 @@ int main(int argc, char** argv) {
   std::cout << "all served results bit-identical with observability on and "
                "off\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

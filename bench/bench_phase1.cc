@@ -15,7 +15,12 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_phase1 [--trials=80] [--n=10] [--seed=3]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 80));
@@ -76,4 +81,10 @@ int main(int argc, char** argv) {
                "violations; looser budgets are increasingly solved exactly "
                "by the min-cost flow alone.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

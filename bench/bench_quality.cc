@@ -14,7 +14,12 @@
 #include "util/stats.h"
 #include "util/table.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+constexpr char kUsage[] =
+    "usage: bench_quality [--trials=60] [--n=10] [--seed=1]";
+
+int run(int argc, char** argv) {
   using namespace krsp;
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 60));
@@ -96,4 +101,10 @@ int main(int argc, char** argv) {
                "max d/D <= 1 (exact) / 1+eps (scaled); most instances "
                "solved to optimality.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

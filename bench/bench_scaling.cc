@@ -34,9 +34,9 @@ util::Stats run_mode(core::SolverOptions::Mode mode,
   return ms;
 }
 
-}  // namespace
+constexpr char kUsage[] = "usage: bench_scaling [--trials=5] [--seed=6]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 5));
   util::Rng rng(static_cast<std::uint64_t>(cli.get_int("seed", 6)));
@@ -98,4 +98,10 @@ int main(int argc, char** argv) {
                "mode grows with W (pseudo-polynomial budget dimension) "
                "while the scaled mode flattens once scaling engages.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

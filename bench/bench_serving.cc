@@ -188,9 +188,11 @@ void write_json(const std::string& path, int requests, int pool, int n,
   std::cout << "wrote " << path << "\n";
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_serving [--requests=96] [--pool=8] [--n=14] [--seed=21] "
+    "[--threads=0] [--clients=6] [--out=BENCH_serving.json] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
@@ -344,4 +346,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "all served results bit-identical to direct solves\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

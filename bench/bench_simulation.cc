@@ -67,9 +67,10 @@ void run_one(const core::Instance& inst, const core::PathSet& paths,
   }
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_simulation [--trials=12] [--n=20] [--seed=10]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const int trials = static_cast<int>(cli.get_int("trials", 12));
   const int n = static_cast<int>(cli.get_int("n", 20));
@@ -127,4 +128,10 @@ int main(int argc, char** argv) {
                "the slowest path (where the delay-blind flow parks its "
                "high-delay leftovers).\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

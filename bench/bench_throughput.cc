@@ -68,9 +68,11 @@ bool identical(const std::vector<api::SolveResult>& a,
   return true;
 }
 
-}  // namespace
+constexpr char kUsage[] =
+    "usage: bench_throughput [--requests=64] [--n=16] [--seed=12] "
+    "[--threads=1,2,4,8] [--smoke]";
 
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   const util::Cli cli(argc, argv);
   const bool smoke = cli.get_bool("smoke", false);
   const int requests =
@@ -145,4 +147,10 @@ int main(int argc, char** argv) {
   }
   std::cout << "all engine runs bit-identical to sequential baseline\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return krsp::util::run_tool(kUsage, [&] { return run(argc, argv); });
 }

@@ -5,8 +5,8 @@
 # per-request `timing` flag over the raw socket, shut the server down,
 # then validate every exported artifact:
 #   * the Chrome trace is valid JSON and contains the span taxonomy the
-#     serving path promises (phase1, bicameral_find, cycle_cancel_round,
-#     queue_wait, cache_lookup, admission);
+#     serving path promises (phase1, cycle_cancel_round, residual_rebuild,
+#     bicameral_find, budget_pass, queue_wait, cache_lookup, admission);
 #   * the metrics exposition carries per-SLA-class latency quantiles;
 #   * a timing-flagged solve response breaks its latency down;
 #   * the load generator's --latency-out CSV has the documented header
@@ -134,8 +134,9 @@ with open(sys.argv[1]) as f:
 events = trace["traceEvents"]
 assert events, "trace has no events"
 names = {e["name"] for e in events}
-expected = {"phase1", "bicameral_find", "cycle_cancel_round", "queue_wait",
-            "cache_lookup", "admission", "wire_handle", "transport_read"}
+expected = {"phase1", "cycle_cancel_round", "residual_rebuild",
+            "bicameral_find", "budget_pass", "queue_wait", "cache_lookup",
+            "admission", "wire_handle", "transport_read"}
 missing = expected - names
 assert not missing, "trace missing spans: %s (have %s)" % (
     sorted(missing), sorted(names))

@@ -4,7 +4,6 @@
 #include <limits>
 
 #include "graph/algorithms.h"
-#include "graph/csr.h"
 #include "graph/cycles.h"
 #include "obs/trace.h"
 
@@ -59,16 +58,23 @@ struct Structure {
   std::vector<char> comp_has_negative;
   // Compact intra-SCC adjacency for member position p (= scc.members[p]):
   // arcs[arc_first[p]..arc_first[p+1]) with .to holding the *local* id of
-  // the target. Only populated for scanned components.
+  // the target, in residual edge-id order per tail. Only populated for
+  // scanned components.
+  struct Arc {
+    graph::VertexId to;
+    graph::Cost cost;
+    graph::Delay delay;
+    graph::EdgeId id;
+  };
   std::vector<int> arc_first;
-  std::vector<graph::CsrView::Arc> arcs;
+  std::vector<Arc> arcs;
   // Seed anchors per sign (0: heads, 1: tails of negative arcs), ascending,
   // restricted to scanned components.
   std::vector<graph::VertexId> seeds[2];
   std::int64_t sccs_skipped = 0;  // barren components holding >= 1 seed
   std::vector<char> seed_mark[2];  // build-time scratch, kept for reuse
 
-  void build(const ResidualGraph& residual, const graph::CsrView& csr) {
+  void build(const ResidualGraph& residual) {
     const graph::Digraph& rg = residual.digraph();
     const int n = rg.num_vertices();
     scc = graph::scc_partition(rg);
@@ -103,10 +109,10 @@ struct Structure {
       const graph::VertexId u = scc.members[p];
       const int c = scc.component[u];
       if (comp_has_negative[c] == 1) {
-        for (const auto& arc : csr.out(u)) {
-          if (scc.component[arc.to] != c) continue;
-          arcs.push_back(graph::CsrView::Arc{scc.local_id[arc.to], arc.cost,
-                                             arc.delay, arc.id});
+        for (const graph::EdgeId e : rg.out_edges(u)) {
+          const auto& edge = rg.edge(e);
+          if (scc.component[edge.to] != c) continue;
+          arcs.push_back(Arc{scc.local_id[edge.to], edge.cost, edge.delay, e});
         }
       }
       arc_first[p + 1] = static_cast<int>(arcs.size());
@@ -385,10 +391,9 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
   // negative total cost or delay would need a negative term).
   if (residual.negative_arcs().empty()) return std::nullopt;
 
-  const graph::CsrView csr(rg);
   Structure local_structure;
   Structure& st = ws != nullptr ? ws->impl().structure : local_structure;
-  st.build(residual, csr);
+  st.build(residual);
   if (stats != nullptr) stats->sccs_skipped += st.sccs_skipped;
 
   // Per-anchor round bound (the witness cycles of Lemmas 11/12 are simple
@@ -465,9 +470,9 @@ std::optional<FoundCycle> BicameralCycleFinder::find(
       // a seed).
       const int num_signs = budget == 0 ? 1 : 2;
       for (int sign = 0; sign < num_signs; ++sign) {
-        // One anchor DP batch: every anchor of this (budget, sign) pass,
-        // timed from the driver thread.
-        KRSP_OBS_SPAN("anchor_dp_batch");
+        // One (budget, sign) pass over every anchor, timed from the driver
+        // thread.
+        KRSP_OBS_SPAN("budget_pass");
         const graph::Cost start_layer = sign == 0 ? 0 : budget;
         const std::vector<graph::VertexId>& anchors = step_anchors[sign];
         const int na = static_cast<int>(anchors.size());

@@ -67,10 +67,13 @@ CycleCancelResult cancel_cycles(const Instance& inst, const PathSet& start,
         out.telemetry.ratio_monotone = false;
     }
 
-    if (!residual) {
-      residual.emplace(inst.graph, out.paths.all_edges());
-    } else {
-      residual->rebuild(out.paths.all_edges());
+    {
+      KRSP_OBS_SPAN("residual_rebuild");
+      if (!residual) {
+        residual.emplace(inst.graph, out.paths.all_edges());
+      } else {
+        residual->rebuild(out.paths.all_edges());
+      }
     }
     // Each round delegates the restricted (cost-capped) negative-cycle
     // search to the bicameral walk DP over the residual graph.

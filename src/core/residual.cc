@@ -1,7 +1,5 @@
 #include "core/residual.h"
 
-#include <algorithm>
-
 #include "graph/cycles.h"
 
 namespace krsp::core {
@@ -14,27 +12,24 @@ ResidualGraph::ResidualGraph(const graph::Digraph& g,
 
 void ResidualGraph::rebuild(const std::vector<graph::EdgeId>& flow_edges) {
   const graph::Digraph& g = original_;
-  flow_.clear();
-  flow_.insert(flow_edges.begin(), flow_edges.end());
-  KRSP_CHECK_MSG(flow_.size() == flow_edges.size(),
-                 "duplicate edges in flow set");
+  in_flow_.assign(g.num_edges(), false);
+  for (const graph::EdgeId e : flow_edges) {
+    KRSP_CHECK_MSG(g.is_edge(e), "flow edge " << e << " is not an edge");
+    KRSP_CHECK_MSG(!in_flow_[e], "duplicate edges in flow set");
+    in_flow_[e] = true;
+  }
   residual_.clear_edges();
   residual_.resize(g.num_vertices());
-  tags_.clear();
-  tags_.reserve(g.num_edges());
   negative_arcs_.clear();
   for (graph::EdgeId e = 0; e < g.num_edges(); ++e) {
     const auto& edge = g.edge(e);
-    graph::EdgeId re;
-    if (flow_.count(e) != 0) {
-      re = residual_.add_edge(edge.to, edge.from, -edge.cost, -edge.delay);
-      tags_.push_back(Tag{e, true});
+    if (in_flow_[e]) {
+      residual_.add_edge(edge.to, edge.from, -edge.cost, -edge.delay);
     } else {
-      re = residual_.add_edge(edge.from, edge.to, edge.cost, edge.delay);
-      tags_.push_back(Tag{e, false});
+      residual_.add_edge(edge.from, edge.to, edge.cost, edge.delay);
     }
-    const auto& r = residual_.edge(re);
-    if (r.cost < 0 || r.delay < 0) negative_arcs_.push_back(re);
+    const auto& r = residual_.edge(e);
+    if (r.cost < 0 || r.delay < 0) negative_arcs_.push_back(e);
   }
 }
 
@@ -50,44 +45,34 @@ graph::Delay ResidualGraph::cycle_delay(
 
 std::vector<graph::EdgeId> ResidualGraph::apply_cycle(
     std::span<const graph::EdgeId> residual_cycle) const {
-  auto next = flow_;
-  for (const graph::EdgeId re : residual_cycle) {
-    KRSP_CHECK(re >= 0 && re < static_cast<graph::EdgeId>(tags_.size()));
-    const Tag& tag = tags_[re];
-    if (tag.reversed) {
-      KRSP_CHECK_MSG(next.erase(tag.orig) == 1,
-                     "reversed residual edge whose original is not in flow");
-    } else {
-      KRSP_CHECK_MSG(next.insert(tag.orig).second,
-                     "forward residual edge whose original is already in flow");
-    }
+  // Traversing residual edge e flips e's flow bit: a forward edge joins F,
+  // a reversed one leaves it. A second use of e would flip it back.
+  auto next = in_flow_;
+  for (const graph::EdgeId e : residual_cycle) {
+    KRSP_CHECK(residual_.is_edge(e));
+    KRSP_CHECK_MSG(next[e] == in_flow_[e],
+                   "residual cycle uses edge " << e << " twice");
+    next[e] = !next[e];
   }
-  std::vector<graph::EdgeId> out(next.begin(), next.end());
-  std::sort(out.begin(), out.end());
+  std::vector<graph::EdgeId> out;
+  for (graph::EdgeId e = 0; e < residual_.num_edges(); ++e)
+    if (next[e]) out.push_back(e);
   return out;
 }
 
 std::vector<std::vector<graph::EdgeId>> difference_cycles(
-    const ResidualGraph& residual, const std::vector<graph::EdgeId>& current,
-    const std::vector<graph::EdgeId>& target) {
-  const std::unordered_set<graph::EdgeId> cur(current.begin(), current.end());
-  const std::unordered_set<graph::EdgeId> tgt(target.begin(), target.end());
-  // Residual edge ids coincide with original edge ids by construction
-  // (one residual edge per original edge, same index).
-  std::vector<graph::EdgeId> edges;
+    const ResidualGraph& residual, const std::vector<graph::EdgeId>& target) {
   const int m = residual.digraph().num_edges();
-  for (graph::EdgeId re = 0; re < m; ++re) {
-    const graph::EdgeId orig = residual.original_edge(re);
-    [[maybe_unused]] const bool in_cur = cur.count(orig) != 0;
-    const bool in_tgt = tgt.count(orig) != 0;
-    if (residual.is_reversed(re)) {
-      KRSP_DCHECK(in_cur);
-      if (!in_tgt) edges.push_back(re);  // current-only: traverse backwards
-    } else {
-      KRSP_DCHECK(!in_cur);
-      if (in_tgt) edges.push_back(re);  // target-only: traverse forwards
-    }
+  std::vector<bool> in_target(m, false);
+  for (const graph::EdgeId e : target) {
+    KRSP_CHECK(residual.digraph().is_edge(e));
+    in_target[e] = true;
   }
+  // Current-only edges are traversed backwards (reversed residual edges),
+  // target-only edges forwards; edges in both or neither drop out.
+  std::vector<graph::EdgeId> edges;
+  for (graph::EdgeId e = 0; e < m; ++e)
+    if (residual.is_reversed(e) != in_target[e]) edges.push_back(e);
   return graph::decompose_balanced_edge_set(residual.digraph(), edges);
 }
 

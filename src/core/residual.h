@@ -8,9 +8,12 @@
 // novelty the bicameral machinery addresses. A residual cycle O applied via
 // F ⊕ O yields a new union of k disjoint paths whose cost/delay shift by
 // (c(O), d(O)).
+//
+// Residual edge ids equal original edge ids: residual edge e is original
+// edge e, forward or reversed, so one flow bit per edge is the whole
+// mapping.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "core/instance.h"
@@ -34,14 +37,9 @@ class ResidualGraph {
 
   [[nodiscard]] const graph::Digraph& digraph() const { return residual_; }
 
-  /// Original edge behind residual edge `re`.
-  [[nodiscard]] graph::EdgeId original_edge(graph::EdgeId re) const {
-    return tags_[re].orig;
-  }
-  /// True iff residual edge `re` is a reversed (negated) flow edge.
-  [[nodiscard]] bool is_reversed(graph::EdgeId re) const {
-    return tags_[re].reversed;
-  }
+  /// True iff residual edge `e` is a reversed (negated) flow edge, i.e.
+  /// original edge `e` is in the flow set.
+  [[nodiscard]] bool is_reversed(graph::EdgeId e) const { return in_flow_[e]; }
 
   /// Residual edges with cost < 0 or delay < 0, ascending by edge id,
   /// maintained incrementally by rebuild. Every Definition-10-qualifying
@@ -60,30 +58,23 @@ class ResidualGraph {
       std::span<const graph::EdgeId> residual_edges) const;
 
   /// F ⊕ O: applies a residual cycle to the flow edge set this residual was
-  /// built from and returns the new flow edge set. KRSP_CHECKs that forward
-  /// residual edges are not already in F and reversed ones are.
+  /// built from and returns the new flow edge set, ascending. KRSP_CHECKs
+  /// that the cycle uses each residual edge at most once.
   [[nodiscard]] std::vector<graph::EdgeId> apply_cycle(
       std::span<const graph::EdgeId> residual_cycle) const;
 
  private:
-  struct Tag {
-    graph::EdgeId orig = graph::kInvalidEdge;
-    bool reversed = false;
-  };
-
   const graph::Digraph& original_;
-  std::unordered_set<graph::EdgeId> flow_;
+  std::vector<bool> in_flow_;  // per edge id: in F, hence reversed in G̃
   graph::Digraph residual_;
-  std::vector<Tag> tags_;
   std::vector<graph::EdgeId> negative_arcs_;
 };
 
 /// The cycle system {P*} ⊕ {P̄} of Proposition 8: the symmetric difference
-/// of two k-path edge sets, expressed as residual edges of the residual
-/// graph built from `current`, decomposed into edge-disjoint simple cycles.
-/// Used by tests (Prop. 8 / Lemma 9) and by the brute-force analyzer.
+/// of the flow edge set `residual` was built from and `target`, expressed
+/// as residual edges and decomposed into edge-disjoint simple cycles. Used
+/// by tests (Prop. 8 / Lemma 9).
 std::vector<std::vector<graph::EdgeId>> difference_cycles(
-    const ResidualGraph& residual, const std::vector<graph::EdgeId>& current,
-    const std::vector<graph::EdgeId>& target);
+    const ResidualGraph& residual, const std::vector<graph::EdgeId>& target);
 
 }  // namespace krsp::core

@@ -88,10 +88,8 @@ Solution KrspSolver::solve(const Instance& inst, const util::Deadline& deadline,
   Solution s;
   switch (options_.mode) {
     case SolverOptions::Mode::kExactWeights:
-      s = solve_exact_weights(inst, deadline, ws);
-      break;
     case SolverOptions::Mode::kScaled:
-      s = solve_scaled(inst, deadline, ws);
+      s = solve_with_cap_search(inst, deadline, ws);
       break;
     case SolverOptions::Mode::kPhase1Only:
       s = solve_phase1_only(inst, deadline, ws);
@@ -112,9 +110,11 @@ Solution KrspSolver::solve_phase1_only(const Instance& inst,
   return s;
 }
 
-Solution KrspSolver::solve_exact_weights(const Instance& inst,
-                                         const util::Deadline& deadline,
-                                         SolveWorkspace* ws) const {
+Solution KrspSolver::solve_with_cap_search(const Instance& inst,
+                                           const util::Deadline& deadline,
+                                           SolveWorkspace* ws) const {
+  // Phase 1 on the original weights settles feasibility questions exactly
+  // and provides the Ĉ search range.
   const auto p1 = phase1_lagrangian(
       inst, stage_deadline(deadline, options_.phase1_deadline_fraction),
       ws != nullptr ? &ws->mcmf : nullptr);
@@ -122,10 +122,11 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
   if (s.status != SolveStatus::kApprox) return s;  // optimal or no solution
   if (s.delay <= inst.delay_bound) return s;       // Lemma 5 already met D
 
-  // Algorithm 1 with a binary search on the cap Ĉ over [max(1,⌈C_LP⌉),
-  // cost(F_hi)]. Success is monotone above C_OPT; a minimal succeeding Ĉ†
+  // Search the cap Ĉ over [max(1,⌈C_LP⌉), cost(F_hi)]. Success is monotone
+  // above C_OPT; in exact-weights mode (Lemma 3) a minimal succeeding Ĉ†
   // adjacent to a failure satisfies Ĉ† <= C_OPT + 1, certifying
-  // cost <= 2·(C_OPT + 1).
+  // cost <= 2·(C_OPT + 1). Scaled mode (Theorem 4) runs the same search,
+  // each guess on its own scaled instance.
   KRSP_CHECK(p1.feasible_alternative.has_value());
   const PathSet& f_hi = *p1.feasible_alternative;
   const graph::Cost c_hi = f_hi.total_cost(inst.graph);
@@ -133,12 +134,56 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
       std::max<graph::Cost>(1, ceil_of(p1.cost_lower_bound));
   const graph::Cost hi0 = std::max(lo0, c_hi);
 
+  const bool scaled = options_.mode == SolverOptions::Mode::kScaled;
   CycleCancelOptions cancel_options = options_.cancel;
   cancel_options.deadline = deadline;
+  // Internal ε2/2 keeps the flooring loss within the advertised (2+ε2).
+  const double eps2 = options_.eps2 / 2.0;
+  const auto delay_limit = static_cast<graph::Delay>(std::floor(
+      (1.0 + options_.eps1) * static_cast<double>(inst.delay_bound)));
+  SolverOptions inner_options = options_;
+  inner_options.mode = SolverOptions::Mode::kExactWeights;
+  const KrspSolver inner_solver(inner_options);
 
-  std::optional<CycleCancelResult> best_run;
-  graph::Cost best_guess = 0;
+  // What one guess produced, in original weights.
+  struct Attempt {
+    PathSet paths;
+    graph::Cost cost = 0;
+    graph::Delay delay = 0;
+    CycleCancelTelemetry cancel;
+  };
   bool deadline_cut = false;
+  const auto attempt = [&](graph::Cost guess) -> std::optional<Attempt> {
+    if (!scaled) {
+      auto r = cancel_cycles(inst, p1.paths, guess, cancel_options,
+                             ws != nullptr ? &ws->finder : nullptr);
+      if (r.status == CancelStatus::kDeadlineExpired) deadline_cut = true;
+      if (r.status != CancelStatus::kSuccess) return std::nullopt;
+      return Attempt{std::move(r.paths), r.cost, r.delay,
+                     std::move(r.telemetry)};
+    }
+    const auto scaled_inst = scale_instance(inst, options_.eps1, eps2, guess);
+    // The inner solve shares the same absolute deadline, so a slow guess
+    // cannot starve the attempts after it of their own expiry check. It
+    // also shares the workspace: the scaled graph differs per guess, but
+    // the workspace re-keys itself by topology, and within one inner solve
+    // the LARAC iterations still hit the cache.
+    Solution inner = inner_solver.solve(scaled_inst.scaled, deadline, ws);
+    if (inner.telemetry.deadline_expired) deadline_cut = true;
+    if (!inner.has_paths()) return std::nullopt;
+    // Edge ids are shared between the scaled and original graphs.
+    const graph::Cost cost = inner.paths.total_cost(inst.graph);
+    const graph::Delay delay = inner.paths.total_delay(inst.graph);
+    if (delay > delay_limit) return std::nullopt;
+    const auto threshold = static_cast<graph::Cost>(
+        std::ceil((2.0 + options_.eps2) * static_cast<double>(guess)));
+    if (cost > threshold) return std::nullopt;
+    return Attempt{std::move(inner.paths), cost, delay,
+                   std::move(inner.telemetry.cancel)};
+  };
+
+  std::optional<Attempt> best;
+  graph::Cost best_guess = 0;
   const auto run = [&](graph::Cost guess) -> bool {
     if (deadline.expired()) {
       // Abandon the search, serve the best anytime result below.
@@ -146,12 +191,10 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
       return false;
     }
     ++s.telemetry.guess_attempts;
-    auto r = cancel_cycles(inst, p1.paths, guess, cancel_options,
-                           ws != nullptr ? &ws->finder : nullptr);
-    if (r.status == CancelStatus::kDeadlineExpired) deadline_cut = true;
-    if (r.status != CancelStatus::kSuccess) return false;
-    if (!best_run || guess < best_guess) {
-      best_run = std::move(r);
+    auto a = attempt(guess);
+    if (!a) return false;
+    if (!best || guess < best_guess) {
+      best = std::move(a);
       best_guess = guess;
     }
     return true;
@@ -177,152 +220,37 @@ Solution KrspSolver::solve_exact_weights(const Instance& inst,
   }
 
   if (deadline_cut) s.telemetry.deadline_expired = true;
-
-  if (!best_run) {
-    // Deadline expiry, or an internal limit tripping where theory
-    // guarantees success at Ĉ = c_hi >= C_OPT: fall back to the certified
-    // delay-feasible phase-1 alternative.
+  s.status = SolveStatus::kApprox;
+  // The certified delay-feasible phase-1 alternative: served when no guess
+  // succeeded (deadline expiry, or an internal limit tripping where theory
+  // guarantees success at Ĉ = c_hi >= C_OPT), and kept when it is cheaper.
+  const auto serve_f_hi = [&] {
     s.telemetry.used_feasible_fallback = true;
-    if (deadline_cut)
-      s.telemetry.degradation = DegradationStep::kPhase1Feasible;
     s.paths = f_hi;
     s.cost = c_hi;
     s.delay = f_hi.total_delay(inst.graph);
-    s.status = SolveStatus::kApprox;
+  };
+  if (!best) {
+    if (deadline_cut)
+      s.telemetry.degradation = DegradationStep::kPhase1Feasible;
+    serve_f_hi();
     return s;
   }
 
   // A cut-short search still certifies cost <= cost(start) + Ĉ† for the
   // best cap that succeeded — just not minimality of Ĉ†.
-  if (deadline_cut) s.telemetry.degradation = DegradationStep::kExactPartial;
+  if (deadline_cut)
+    s.telemetry.degradation = scaled ? DegradationStep::kScaledResult
+                                     : DegradationStep::kExactPartial;
   s.telemetry.cost_guess_used = best_guess;
-  s.telemetry.cancel = best_run->telemetry;
-  // The phase-1 feasible alternative is itself a valid answer; keep the
-  // cheaper of the two.
-  if (c_hi < best_run->cost) {
-    s.telemetry.used_feasible_fallback = true;
-    s.paths = f_hi;
-    s.cost = c_hi;
-    s.delay = f_hi.total_delay(inst.graph);
+  s.telemetry.cancel = std::move(best->cancel);
+  if (c_hi < best->cost) {
+    serve_f_hi();
   } else {
-    s.paths = std::move(best_run->paths);
-    s.cost = best_run->cost;
-    s.delay = best_run->delay;
+    s.paths = std::move(best->paths);
+    s.cost = best->cost;
+    s.delay = best->delay;
   }
-  s.status = SolveStatus::kApprox;
-  return s;
-}
-
-Solution KrspSolver::solve_scaled(const Instance& inst,
-                                  const util::Deadline& deadline,
-                                  SolveWorkspace* ws) const {
-  // Phase 1 on the *original* weights settles feasibility questions exactly
-  // and provides the Ĉ search range.
-  const auto p1 = phase1_lagrangian(
-      inst, stage_deadline(deadline, options_.phase1_deadline_fraction),
-      ws != nullptr ? &ws->mcmf : nullptr);
-  Solution s = from_phase1(p1);
-  if (s.status != SolveStatus::kApprox) return s;
-  if (s.delay <= inst.delay_bound) return s;
-
-  KRSP_CHECK(p1.feasible_alternative.has_value());
-  const PathSet& f_hi = *p1.feasible_alternative;
-  const graph::Cost c_hi = f_hi.total_cost(inst.graph);
-  const graph::Cost lo0 =
-      std::max<graph::Cost>(1, ceil_of(p1.cost_lower_bound));
-  const graph::Cost hi0 = std::max(lo0, c_hi);
-
-  // Internal ε2/2 keeps the flooring loss within the advertised (2+ε2).
-  const double eps1 = options_.eps1;
-  const double eps2 = options_.eps2 / 2.0;
-  const auto delay_limit = static_cast<graph::Delay>(
-      std::floor((1.0 + options_.eps1) * static_cast<double>(inst.delay_bound)));
-
-  KrspSolver inner_solver{[&] {
-    SolverOptions o = options_;
-    o.mode = SolverOptions::Mode::kExactWeights;
-    return o;
-  }()};
-
-  struct Attempt {
-    Solution sol;        // in original weights
-    graph::Cost guess;
-  };
-  std::optional<Attempt> best;
-  bool deadline_cut = false;
-  const auto run = [&](graph::Cost guess) -> bool {
-    if (deadline.expired()) {
-      deadline_cut = true;
-      return false;
-    }
-    ++s.telemetry.guess_attempts;
-    const auto scaled = scale_instance(inst, eps1, eps2, guess);
-    // The inner solve shares the same absolute deadline, so a slow guess
-    // cannot starve the attempts after it of their own expiry check. It
-    // also shares the workspace: the scaled graph differs per guess, but
-    // the workspace re-keys itself by topology, and within one inner solve
-    // the LARAC iterations still hit the cache.
-    Solution inner = inner_solver.solve(scaled.scaled, deadline, ws);
-    if (inner.telemetry.deadline_expired) deadline_cut = true;
-    if (!inner.has_paths()) return false;
-    // Edge ids are shared between the scaled and original graphs.
-    Solution mapped = inner;
-    mapped.cost = inner.paths.total_cost(inst.graph);
-    mapped.delay = inner.paths.total_delay(inst.graph);
-    if (mapped.delay > delay_limit) return false;
-    const auto threshold = static_cast<graph::Cost>(
-        std::ceil((2.0 + options_.eps2) * static_cast<double>(guess)));
-    if (mapped.cost > threshold) return false;
-    if (!best || guess < best->guess) best = Attempt{std::move(mapped), guess};
-    return true;
-  };
-
-  if (options_.guess == SolverOptions::GuessStrategy::kBinarySearch) {
-    graph::Cost lo = lo0, hi = hi0;
-    if (run(hi)) {
-      while (lo < hi && !deadline_cut) {
-        const graph::Cost mid = lo + (hi - lo) / 2;
-        if (run(mid))
-          hi = mid;
-        else
-          lo = mid + 1;
-      }
-    }
-  } else {
-    graph::Cost guess = lo0;
-    // Saturating doubling: guess * 2 would wrap for guesses past
-    // INT64_MAX/2 (huge cost bounds), so jump straight to hi0 instead.
-    while (!run(guess) && guess < hi0 && !deadline_cut)
-      guess = guess > hi0 / 2 ? hi0 : std::max<graph::Cost>(guess * 2, 1);
-  }
-
-  if (deadline_cut) s.telemetry.deadline_expired = true;
-
-  if (!best) {
-    s.telemetry.used_feasible_fallback = true;
-    if (deadline_cut)
-      s.telemetry.degradation = DegradationStep::kPhase1Feasible;
-    s.paths = f_hi;
-    s.cost = c_hi;
-    s.delay = f_hi.total_delay(inst.graph);
-    s.status = SolveStatus::kApprox;
-    return s;
-  }
-
-  if (deadline_cut) s.telemetry.degradation = DegradationStep::kScaledResult;
-  s.telemetry.cost_guess_used = best->guess;
-  s.telemetry.cancel = best->sol.telemetry.cancel;
-  if (c_hi < best->sol.cost) {
-    s.telemetry.used_feasible_fallback = true;
-    s.paths = f_hi;
-    s.cost = c_hi;
-    s.delay = f_hi.total_delay(inst.graph);
-  } else {
-    s.paths = std::move(best->sol.paths);
-    s.cost = best->sol.cost;
-    s.delay = best->sol.delay;
-  }
-  s.status = SolveStatus::kApprox;
   return s;
 }
 

@@ -123,12 +123,11 @@ class KrspSolver {
   [[nodiscard]] const SolverOptions& options() const { return options_; }
 
  private:
-  [[nodiscard]] Solution solve_exact_weights(const Instance& inst,
-                                             const util::Deadline& deadline,
-                                             SolveWorkspace* ws) const;
-  [[nodiscard]] Solution solve_scaled(const Instance& inst,
-                                      const util::Deadline& deadline,
-                                      SolveWorkspace* ws) const;
+  /// Phase 1, then the Ĉ search of kExactWeights or kScaled mode: the
+  /// modes differ only in what one guess runs.
+  [[nodiscard]] Solution solve_with_cap_search(const Instance& inst,
+                                               const util::Deadline& deadline,
+                                               SolveWorkspace* ws) const;
   [[nodiscard]] Solution solve_phase1_only(const Instance& inst,
                                            const util::Deadline& deadline,
                                            SolveWorkspace* ws) const;

@@ -1,11 +1,11 @@
 // Per-thread reusable solver scratch.
 //
 // One kRSP solve allocates the same large structures over and over: the
-// min-cost-flow network behind every phase-1 LARAC iteration, the bicameral
-// finder's layered Bellman–Ford tables, the residual digraph rebuilt each
-// cancellation round. A SolveWorkspace keeps those alive across solves so
-// the hot paths become allocation-free on repeat solves — the contract the
-// batch engine (engine/batch_engine.h) relies on for throughput.
+// min-cost-flow network behind every phase-1 LARAC iteration and the
+// bicameral finder's layered Bellman–Ford tables. A SolveWorkspace keeps
+// those alive across solves so the hot paths become allocation-free on
+// repeat solves — the contract the batch engine (engine/batch_engine.h)
+// relies on for throughput.
 //
 // Semantics: a workspace NEVER changes results. Every component re-checks
 // dimensions/topology and rebuilds when they do not match, so a workspace
@@ -25,9 +25,9 @@ struct SolveWorkspace {
   /// Cached min-cost-flow network for phase 1's repeated Lagrangian calls.
   flow::McfWorkspace mcmf;
   /// Bicameral finder scratch: the flat rolling dist rows + packed parent
-  /// records of the pruned kernel (and the legacy nested tables when the
-  /// ablation runs), grown high-water across calls. Also pins the finder
-  /// to its serial scan; see BicameralWorkspace.
+  /// records and the per-find SCC structure, grown high-water across
+  /// calls. Also pins the finder to its serial scan; see
+  /// BicameralWorkspace.
   BicameralWorkspace finder;
   /// Solves started through this workspace (telemetry only).
   std::uint64_t solves_started = 0;

@@ -1,7 +1,6 @@
 #include "graph/cycles.h"
 
 #include <unordered_map>
-#include <unordered_set>
 
 namespace krsp::graph {
 
@@ -9,12 +8,11 @@ bool is_simple_cycle(const Digraph& g, std::span<const EdgeId> edges) {
   if (edges.empty()) return false;
   const VertexId start = g.edge(edges.front()).from;
   VertexId at = start;
-  std::unordered_set<VertexId> seen;
-  std::unordered_set<EdgeId> seen_edges;
+  // A repeated edge repeats its tail, so distinct tails suffice.
+  std::vector<bool> seen(g.num_vertices(), false);
   for (const EdgeId e : edges) {
-    if (!g.is_edge(e) || g.edge(e).from != at) return false;
-    if (!seen_edges.insert(e).second) return false;
-    if (!seen.insert(at).second) return false;
+    if (!g.is_edge(e) || g.edge(e).from != at || seen[at]) return false;
+    seen[at] = true;
     at = g.edge(e).to;
   }
   return at == start;

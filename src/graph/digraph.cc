@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdlib>
 #include <sstream>
-#include <unordered_set>
 
 namespace krsp::graph {
 
@@ -69,15 +68,15 @@ bool is_walk(const Digraph& g, std::span<const EdgeId> edges, VertexId from,
 bool is_simple_path(const Digraph& g, std::span<const EdgeId> edges,
                     VertexId from, VertexId to) {
   if (!is_walk(g, edges, from, to)) return false;
-  std::unordered_set<VertexId> seen;
-  std::unordered_set<EdgeId> seen_edges;
-  seen.insert(from);
+  if (edges.empty()) return true;
+  // A repeated edge repeats its head, so distinct heads (and none equal to
+  // `from`) suffice.
+  std::vector<bool> seen(g.num_vertices(), false);
+  seen[from] = true;
   for (const EdgeId e : edges) {
-    if (!seen_edges.insert(e).second) return false;
     const VertexId head = g.edge(e).to;
-    // The endpoint may equal `from` only if this is the final edge of a
-    // cycle-shaped "path"; for s-t paths from != to so head must be fresh.
-    if (!seen.insert(head).second) return false;
+    if (seen[head]) return false;
+    seen[head] = true;
   }
   return true;
 }

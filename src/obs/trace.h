@@ -65,7 +65,7 @@ class Tracer {
 
   /// Sampling knob: keep 1 of every `n` spans per thread (n <= 1 keeps
   /// all). Applies to record(); long traces of repetitive inner spans
-  /// (mcmf, anchor_dp_batch) shrink by n while the shape survives.
+  /// (mcmf, budget_pass) shrink by n while the shape survives.
   void set_sample_every(std::uint32_t n) {
     sample_every_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
   }

@@ -168,6 +168,14 @@ CsrContainer CsrContainer::open(const std::string& path) {
   check(h.file_bytes == file_len, "file size does not match header");
   const auto n = static_cast<std::uint64_t>(h.num_vertices);
   const auto m = static_cast<std::uint64_t>(h.num_edges);
+  // Bound n and m before any size arithmetic: each vertex needs an 8-byte
+  // offsets word and each edge 24 bytes of arc words, so larger counts
+  // cannot fit, and counts near 2^62 would wrap the section sizes below
+  // back into range.
+  check(n < file_len / sizeof(std::uint64_t) &&
+            m <= file_len / (2 * sizeof(std::int32_t) + sizeof(graph::Cost) +
+                             sizeof(graph::Delay)),
+        "vertex or edge count exceeds the file size");
   // Section layout: aligned, in order, in bounds.
   const std::uint64_t offs[5] = {h.off_offsets, h.off_targets, h.off_costs,
                                  h.off_delays, h.off_ids};
@@ -258,11 +266,6 @@ std::span<const graph::Delay> CsrContainer::delays() const {
 std::span<const std::int32_t> CsrContainer::edge_ids() const {
   return section_span<std::int32_t>(
       map_, header_.off_ids, static_cast<std::size_t>(header_.num_edges));
-}
-
-graph::CsrView CsrContainer::csr_view() const {
-  return graph::CsrView(num_vertices(), offsets(), targets(), costs(),
-                        delays(), edge_ids());
 }
 
 core::Instance CsrContainer::instance() const {

@@ -1,24 +1,15 @@
 // Zero-copy access to one `.krspb` instance container (store/format.h).
 //
 // CsrContainer::open maps the file read-only and validates it — magic,
-// version, endianness, section bounds and alignment, CSR monotonicity,
-// target ranges, edge-id permutation, and the content digest — without
-// parsing a single edge from text. The accessors then hand out spans
-// over the mapped sections directly: no allocation, no copy, and the
-// kernel shares the pages across every process that maps the same file.
-//
-// Consumption tiers, cheapest first:
-//   * offsets()/targets()/costs()/delays()/edge_ids() — raw mapped spans;
-//   * csr_view() — a graph::CsrView assembled from the sections in one
-//     linear pass (the bicameral scan's preferred adjacency form);
-//   * instance() — a fully materialized core::Instance with edge ids
-//     restored to their original numbering, for the mutating solver
-//     internals (residual graphs, auxiliary layers).
-//
-// Lifetime: spans and csr_view() borrow the mapping and are valid only
-// while the container is alive; instance() owns its memory. The store
-// tests run under ASan/UBSan precisely because mmap lifetime and
-// alignment bugs are what sanitizers catch.
+// version, endianness, vertex and edge counts against the file size,
+// section bounds and alignment, CSR monotonicity, target ranges, edge-id
+// permutation, and the content digest — without parsing a single edge
+// from text. instance() then materializes a core::Instance in one linear
+// pass over the mapped sections, with edge ids restored to their original
+// numbering; it owns its memory and outlives the container. The raw
+// section spans borrow the mapping and stay private to the container.
+// The store tests run under ASan/UBSan precisely because mmap lifetime
+// and alignment bugs are what sanitizers catch.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +17,6 @@
 #include <string>
 
 #include "core/instance.h"
-#include "graph/csr.h"
 #include "store/format.h"
 
 namespace krsp::store {
@@ -73,17 +63,6 @@ class CsrContainer {
     return header_.file_bytes;
   }
 
-  // Raw mapped sections (valid while the container lives).
-  [[nodiscard]] std::span<const std::uint64_t> offsets() const;
-  [[nodiscard]] std::span<const std::int32_t> targets() const;
-  [[nodiscard]] std::span<const graph::Cost> costs() const;
-  [[nodiscard]] std::span<const graph::Delay> delays() const;
-  [[nodiscard]] std::span<const std::int32_t> edge_ids() const;
-
-  /// Adjacency view assembled from the mapped sections in one linear
-  /// pass (no text parsing, no Digraph construction).
-  [[nodiscard]] graph::CsrView csr_view() const;
-
   /// Materializes the instance: a Digraph with edges restored to their
   /// original id order, plus the stored default query. O(n + m), owns
   /// its memory, outlives the container.
@@ -91,6 +70,13 @@ class CsrContainer {
 
  private:
   CsrContainer() = default;
+
+  // Raw mapped sections (valid while the container lives).
+  [[nodiscard]] std::span<const std::uint64_t> offsets() const;
+  [[nodiscard]] std::span<const std::int32_t> targets() const;
+  [[nodiscard]] std::span<const graph::Cost> costs() const;
+  [[nodiscard]] std::span<const graph::Delay> delays() const;
+  [[nodiscard]] std::span<const std::int32_t> edge_ids() const;
 
   const void* map_ = nullptr;
   std::size_t map_len_ = 0;

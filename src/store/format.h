@@ -3,8 +3,8 @@
 // A `.krspb` file is one kRSP instance in a fixed, mmap-able binary
 // layout: a 128-byte header followed by five 64-byte-aligned sections
 // holding the graph in compressed-sparse-row form. Loading is
-// open + mmap + validate — no per-edge parsing — and the mapped sections
-// are consumed in place (graph::CsrView, store::CsrContainer spans);
+// open + mmap + validate — no per-edge parsing — and one linear pass over
+// the mapped sections materializes the instance (store::CsrContainer);
 // the text `.kri` format (core/io.h) remains the human-readable
 // interchange form, converted by `krsp_pack`.
 //

@@ -101,8 +101,7 @@ TEST(DifferenceCycles, Proposition8OnRandomInstances) {
     for (const auto& p : cur->paths)
       cur_edges.insert(cur_edges.end(), p.begin(), p.end());
     const ResidualGraph residual(inst->graph, cur_edges);
-    const auto cycles = difference_cycles(residual, cur_edges,
-                                          opt_sol->paths.all_edges());
+    const auto cycles = difference_cycles(residual, opt_sol->paths.all_edges());
     graph::Cost cost_sum = 0;
     graph::Delay delay_sum = 0;
     for (const auto& c : cycles) {
@@ -136,8 +135,7 @@ TEST(ApplyCycle, Proposition7PreservesKDisjointPaths) {
     for (const auto& p : cur->paths)
       cur_edges.insert(cur_edges.end(), p.begin(), p.end());
     const ResidualGraph residual(inst->graph, cur_edges);
-    const auto cycles =
-        difference_cycles(residual, cur_edges, best->paths.all_edges());
+    const auto cycles = difference_cycles(residual, best->paths.all_edges());
     // Apply cycles one at a time, re-validating after each.
     auto flow_edges = cur_edges;
     for (std::size_t step_i = 0; step_i < cycles.size(); ++step_i) {
@@ -146,8 +144,7 @@ TEST(ApplyCycle, Proposition7PreservesKDisjointPaths) {
       // the *current* residual: each original edge flips orientation state,
       // so the same id set remains a valid residual cycle only for the
       // first application — instead re-derive the remaining difference.
-      const auto remaining = difference_cycles(step, flow_edges,
-                                               best->paths.all_edges());
+      const auto remaining = difference_cycles(step, best->paths.all_edges());
       if (remaining.empty()) break;
       flow_edges = step.apply_cycle(remaining.front());
       const auto d = flow::decompose_unit_flow(inst->graph, flow_edges,
@@ -180,8 +177,7 @@ TEST(DifferenceCycles, Lemma9NegativeDelayCycleExists) {
     for (const auto& p : cur->paths)
       cur_edges.insert(cur_edges.end(), p.begin(), p.end());
     const ResidualGraph residual(inst->graph, cur_edges);
-    const auto cycles =
-        difference_cycles(residual, cur_edges, best->paths.all_edges());
+    const auto cycles = difference_cycles(residual, best->paths.all_edges());
     bool has_negative_delay = false;
     for (const auto& c : cycles)
       if (residual.cycle_delay(c) < 0) has_negative_delay = true;

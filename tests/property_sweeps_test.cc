@@ -142,8 +142,8 @@ TEST(WitnessConfinement, PrefixAscentBoundedByOptimalCost) {
     for (const auto& p : cur->paths)
       cur_edges.insert(cur_edges.end(), p.begin(), p.end());
     const core::ResidualGraph residual(inst->graph, cur_edges);
-    for (const auto& cycle : core::difference_cycles(
-             residual, cur_edges, best->paths.all_edges())) {
+    for (const auto& cycle :
+         core::difference_cycles(residual, best->paths.all_edges())) {
       ++cycles_checked;
       // Min-prefix rotation.
       graph::Cost prefix = 0, min_prefix = 0;

@@ -1,7 +1,8 @@
 // The zero-copy instance store and the topology catalog: `.krspb`
 // round-trips, every corruption class the format contract promises to
-// reject (bad magic/version/endianness, truncation, digest mismatch,
-// broken id permutation), catalog lookup semantics, and the O(1)
+// reject (bad magic/version/endianness, truncation, counts that wrap the
+// section sizes, digest mismatch, broken id permutation) plus a seeded
+// mutation suite, catalog lookup semantics, and the O(1)
 // fingerprint-prefix path producing values identical to inline hashing.
 // Runs under ASan/UBSan in the sanitizer matrix on purpose: mmap
 // lifetime and alignment bugs are exactly what sanitizers catch.
@@ -94,28 +95,6 @@ TEST(StoreTest, RoundTripPreservesEdgesIdsAndQuery) {
   // the property that keeps v1/v2 responses (which name paths by edge
   // id) bit-identical.
   expect_same_instance(c.instance(), original);
-}
-
-TEST(StoreTest, CsrViewMatchesDigraphAdjacency) {
-  const core::Instance original = random_instance(11);
-  const std::string path = temp_path("csrview.krspb");
-  CsrContainer::write_file(path, original);
-  const CsrContainer c = CsrContainer::open(path);
-  const graph::CsrView from_container = c.csr_view();
-  const graph::CsrView from_graph(original.graph);
-  ASSERT_EQ(from_container.num_vertices(), from_graph.num_vertices());
-  ASSERT_EQ(from_container.num_arcs(), from_graph.num_arcs());
-  for (graph::VertexId v = 0; v < from_graph.num_vertices(); ++v) {
-    const auto a = from_container.out(v);
-    const auto b = from_graph.out(v);
-    ASSERT_EQ(a.size(), b.size()) << "vertex " << v;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].to, b[i].to);
-      EXPECT_EQ(a[i].cost, b[i].cost);
-      EXPECT_EQ(a[i].delay, b[i].delay);
-      EXPECT_EQ(a[i].id, b[i].id);
-    }
-  }
 }
 
 TEST(StoreTest, WriteIsDeterministic) {
@@ -214,6 +193,83 @@ TEST(StoreTest, RejectsBrokenIdPermutation) {
   const std::string path = temp_path("badids.krspb");
   spit(path, bad);
   expect_rejected(path, "not a permutation");
+}
+
+TEST(StoreTest, RejectsEdgeCountThatWrapsSectionSizes) {
+  // num_edges = 2^62 + m wraps every section size m·4 and m·8 back to its
+  // real value, and a matching last offsets word covers the arc sections:
+  // only bounding m by the file length rejects the file.
+  const core::Instance inst = random_instance(59);
+  const std::string good = temp_path("wrap_src.krspb");
+  CsrContainer::write_file(good, inst);
+  std::vector<char> bad = slurp(good);
+  Header header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  header.num_edges += std::int64_t{1} << 62;
+  std::memcpy(bad.data(), &header, sizeof(header));
+  std::memcpy(bad.data() + header.off_offsets +
+                  static_cast<std::size_t>(header.num_vertices) *
+                      sizeof(std::uint64_t),
+              &header.num_edges, sizeof(header.num_edges));
+  const std::string path = temp_path("wrap.krspb");
+  spit(path, bad);
+  expect_rejected(path, "edge count exceeds the file size");
+}
+
+TEST(StoreTest, MutatedContainersAreRejectedOrUnchanged) {
+  // Seeded mutations of a valid container: bit flips, byte overwrites,
+  // truncations, and header words replaced with edge values. Each mutant
+  // must be rejected with a CheckError or load as the original instance,
+  // edge for edge (a mutation of padding or reserved bytes changes
+  // nothing) — never crash or yield a different graph.
+  const core::Instance original = random_instance(61);
+  const std::string good = temp_path("mutate_src.krspb");
+  CsrContainer::write_file(good, original);
+  const std::vector<char> bytes = slurp(good);
+  const std::string path = temp_path("mutant.krspb");
+  util::Rng rng(2026);
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  constexpr int kTrials = 2000;
+  int rejected = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::vector<char> bad = bytes;
+    switch (trial % 4) {
+      case 0: {
+        const std::size_t at = pick(bad.size());
+        bad[at] = static_cast<char>(bad[at] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      }
+      case 1:
+        bad[pick(bad.size())] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:
+        bad.resize(pick(bad.size()));
+        break;
+      case 3: {
+        char* word = bad.data() + 8 * pick(sizeof(Header) / 8);
+        std::uint64_t v = 0;
+        std::memcpy(&v, word, sizeof(v));
+        const std::uint64_t values[] = {0,           ~std::uint64_t{0},
+                                        1ull << 61,  (1ull << 62) + v,
+                                        v + 8,       v - 8};
+        std::memcpy(word, &values[rng.uniform_int(0, 5)], sizeof(v));
+        break;
+      }
+    }
+    spit(path, bad);
+    try {
+      const CsrContainer c = CsrContainer::open(path);
+      expect_same_instance(c.instance(), original);
+    } catch (const util::CheckError&) {
+      ++rejected;
+    }
+  }
+  // Padding and reserved bytes are a small share of the file.
+  EXPECT_GT(rejected, kTrials * 9 / 10);
 }
 
 TEST(StoreTest, OpenMissingFileNamesThePath) {

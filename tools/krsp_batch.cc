@@ -10,8 +10,8 @@
 //
 // --trace-out enables the obs tracer for the run and writes every
 // worker's span timeline (solve, phase1, mcmf, cycle_cancel_round,
-// bicameral_find, anchor_dp_batch, queue_wait) as Chrome trace-event
-// JSON: the per-thread lanes make engine utilization and queueing
+// residual_rebuild, bicameral_find, budget_pass, queue_wait) as Chrome
+// trace-event JSON: the per-thread lanes make engine utilization and queueing
 // visible at a glance. --trace-sample=N keeps every Nth span per thread.
 //
 // The request list is the cross product instances × repeat, in file order,

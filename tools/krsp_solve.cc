@@ -10,8 +10,8 @@
 // --eps remains as a back-compat alias that sets both eps1 and eps2;
 // explicit --eps1/--eps2 win over it. --trace-out enables the obs tracer
 // and writes the solve's span timeline (phase1, mcmf, cycle_cancel_round,
-// bicameral_find, anchor_dp_batch) as Chrome trace-event JSON for
-// chrome://tracing / ui.perfetto.dev.
+// residual_rebuild, bicameral_find, budget_pass) as Chrome trace-event
+// JSON for chrome://tracing / ui.perfetto.dev.
 #include <fstream>
 #include <iostream>
 
