@@ -58,9 +58,12 @@ std::optional<Instance> make_random_instance(
     inst.k = options.k;
     const auto min_delay = min_possible_delay(inst);
     if (!min_delay) continue;
-    // Delay of the *min-cost* k-flow: the natural "free" end of the range.
+    // Least delay among min-cost k-flows: the natural "free" end of the
+    // range. Priced lexicographically (phase 1's first call), so D is an
+    // optimal value and not whichever min-cost flow the solver returns.
     const auto by_cost = flow::min_weight_disjoint_paths(
-        inst.graph, inst.s, inst.t, inst.k, /*w_cost=*/1, /*w_delay=*/0);
+        inst.graph, inst.s, inst.t, inst.k,
+        /*w_cost=*/inst.graph.total_delay() + 1, /*w_delay=*/1);
     KRSP_CHECK(by_cost.has_value());
     const auto spread =
         static_cast<double>(by_cost->total_delay - *min_delay);

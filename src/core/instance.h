@@ -41,8 +41,11 @@ std::optional<graph::Delay> min_possible_delay(const Instance& inst);
 /// work, loose bounds are often satisfied by the min-cost flow directly.
 struct RandomInstanceOptions {
   int k = 2;
-  /// D = min_delay + slack * (delay(min-cost flow) - min_delay), clamped to
-  /// at least min_delay. slack in [0, 1]: 0 = tightest feasible, 1 = free.
+  /// D = min_delay + slack * (cost_min_delay - min_delay), where
+  /// cost_min_delay is the least delay among min-cost k-flows (so D never
+  /// depends on which of several min-cost flows a solver returns), clamped
+  /// to at least min_delay. slack in [0, 1]: 0 = tightest feasible, 1 =
+  /// free.
   double delay_slack = 0.3;
   int max_attempts = 64;
   /// Terminal overrides; kInvalidVertex = defaults (0 and n-1). Needed for

@@ -40,7 +40,7 @@ Phase1Result phase1_lagrangian(const Instance& inst,
   // (lexicographic tie-break) so loose budgets are recognized as optimal.
   const graph::Cost cost_sum = inst.graph.total_cost();
   const graph::Delay delay_sum = inst.graph.total_delay();
-  auto f_cost = kflow(delay_sum + 1, 1);
+  auto f_cost = kflow(util::checked_add(delay_sum, 1, "Σdelay + 1"), 1);
   if (!f_cost) {
     out.status = Phase1Status::kNoKDisjointPaths;
     return out;
@@ -57,7 +57,7 @@ Phase1Result phase1_lagrangian(const Instance& inst,
   }
 
   // Min-delay flow (cost as tie-break). Infeasible if even this misses D.
-  auto f_delay = kflow(1, cost_sum + 1);
+  auto f_delay = kflow(1, util::checked_add(cost_sum, 1, "Σcost + 1"));
   KRSP_CHECK(f_delay.has_value());
   if (f_delay->delay() > inst.delay_bound) {
     out.status = Phase1Status::kInfeasible;
@@ -84,7 +84,9 @@ Phase1Result phase1_lagrangian(const Instance& inst,
     auto f = kflow(q, p);
     KRSP_CHECK(f.has_value());
     const auto combined = [&](const Candidate& c) {
-      return q * c.cost() + p * c.delay();
+      return util::checked_add(util::checked_mul(q, c.cost(), "LARAC weight"),
+                               util::checked_mul(p, c.delay(), "LARAC weight"),
+                               "LARAC weight");
     };
     if (combined(*f) >= combined(f_lo)) break;  // λ* found (line supported)
     if (f->delay() > inst.delay_bound) {

@@ -8,13 +8,14 @@ namespace krsp::graph {
 
 Cost Digraph::total_cost() const {
   Cost sum = 0;
-  for (const auto& e : edges_) sum += e.cost;
+  for (const auto& e : edges_) sum = util::checked_add(sum, e.cost, "Σcost");
   return sum;
 }
 
 Delay Digraph::total_delay() const {
   Delay sum = 0;
-  for (const auto& e : edges_) sum += e.delay;
+  for (const auto& e : edges_)
+    sum = util::checked_add(sum, e.delay, "Σdelay");
   return sum;
 }
 

@@ -117,6 +117,7 @@ class Digraph {
   }
 
   /// Sum of all edge costs (Σc(e) in the paper; bounds the budget B).
+  /// Both sums throw util::CheckError instead of wrapping past int64.
   [[nodiscard]] Cost total_cost() const;
   /// Sum of all edge delays (Σd(e)).
   [[nodiscard]] Delay total_delay() const;

@@ -5,6 +5,7 @@
 // builds and is used on hot paths.
 #pragma once
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -55,3 +56,33 @@ namespace detail {
 #else
 #define KRSP_DCHECK(cond) KRSP_CHECK(cond)
 #endif
+
+namespace krsp::util {
+
+namespace detail {
+
+[[noreturn, gnu::cold, gnu::noinline]] inline void overflow_failed(
+    const char* what) {
+  throw CheckError(std::string(what) + " overflows int64");
+}
+
+}  // namespace detail
+
+/// a + b and a · b for weights that come from user input: a result outside
+/// int64 throws CheckError naming `what` instead of wrapping. The failure
+/// path is out of line so both stay cheap inside per-arc loops.
+inline std::int64_t checked_add(std::int64_t a, std::int64_t b,
+                                const char* what) {
+  std::int64_t r = 0;
+  if (__builtin_add_overflow(a, b, &r)) detail::overflow_failed(what);
+  return r;
+}
+
+inline std::int64_t checked_mul(std::int64_t a, std::int64_t b,
+                                const char* what) {
+  std::int64_t r = 0;
+  if (__builtin_mul_overflow(a, b, &r)) detail::overflow_failed(what);
+  return r;
+}
+
+}  // namespace krsp::util
