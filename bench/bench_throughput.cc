@@ -1,13 +1,13 @@
 // Experiment E12 — batch engine throughput (solves/sec) vs thread count,
-// against a sequential single-workspace baseline, plus the workspace-reuse
-// ablation. Every engine run is checked bit-identical to the sequential
-// baseline, so the numbers cannot come from cut corners.
+// against a sequential single-workspace baseline. Every engine run is
+// checked bit-identical to the sequential baseline, so the numbers cannot
+// come from cut corners.
 //
 // Usage: bench_throughput [--requests=64] [--n=16] [--seed=12]
 //                         [--threads=1,2,4,8] [--smoke]
 //
 // --smoke shrinks everything for CI: a small batch at 1 and 2 threads,
-// still asserting bit-identity and workspace reuse.
+// still asserting bit-identity.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -111,9 +111,8 @@ int run(int argc, char** argv) {
       .cell("ref");
 
   bool all_identical = true;
-  auto run_engine = [&](const char* label, int threads, bool reuse) {
-    api::Engine engine(
-        api::EngineOptions{.num_threads = threads, .reuse_workspaces = reuse});
+  for (const int threads : thread_counts) {
+    api::Engine engine(api::EngineOptions{.num_threads = threads});
     // Warm-up pass populates per-worker workspaces; timed pass measures the
     // steady state a long-lived service would see.
     (void)engine.solve_batch(batch);
@@ -125,21 +124,17 @@ int run(int argc, char** argv) {
     all_identical = all_identical && same;
     const double rate = static_cast<double>(batch.size()) / wall;
     table.row()
-        .cell(label)
+        .cell("engine")
         .cell(threads)
         .cell_fp(rate, 1)
         .cell_fp(rate / base_rate, 2)
         .cell(same ? "yes" : "NO");
-  };
-
-  for (const int t : thread_counts) run_engine("engine, reuse on", t, true);
-  // Ablation: fresh workspace per request at the largest pool size.
-  run_engine("engine, reuse OFF (ablation)", thread_counts.back(), false);
+  }
 
   table.print();
   std::cout << "\nNote: speedup is bounded by physical cores; on a "
                "single-core host all configs are expected near 1.0x and the "
-               "run only validates determinism + reuse overhead.\n";
+               "run only validates determinism.\n";
 
   if (!all_identical) {
     std::cerr << "FAIL: engine results diverged from sequential baseline\n";

@@ -1,6 +1,5 @@
 #include "api/krsp.h"
 
-#include "engine/batch_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/deadline.h"
@@ -9,24 +8,25 @@ namespace krsp::api {
 
 core::SolverOptions to_solver_options(const SolveRequest& request) {
   core::SolverOptions options;
-  switch (request.mode) {
-    case Mode::kScaled:
-      options.mode = core::SolverOptions::Mode::kScaled;
-      break;
-    case Mode::kExactWeights:
-      options.mode = core::SolverOptions::Mode::kExactWeights;
-      break;
-    case Mode::kPhase1Only:
-      options.mode = core::SolverOptions::Mode::kPhase1Only;
-      break;
-  }
+  options.mode = request.mode;
   options.eps1 = request.eps1;
   options.eps2 = request.eps2;
-  options.guess = request.guess == GuessStrategy::kBinarySearch
-                      ? core::SolverOptions::GuessStrategy::kBinarySearch
-                      : core::SolverOptions::GuessStrategy::kDoubling;
+  options.guess = request.guess;
   options.deadline_seconds = request.deadline_seconds;
   return options;
+}
+
+std::optional<Mode> parse_mode(std::string_view name) {
+  if (name == "scaled") return Mode::kScaled;
+  if (name == "exact") return Mode::kExactWeights;
+  if (name == "phase1") return Mode::kPhase1Only;
+  return std::nullopt;
+}
+
+std::optional<GuessStrategy> parse_guess(std::string_view name) {
+  if (name == "binary") return GuessStrategy::kBinarySearch;
+  if (name == "doubling") return GuessStrategy::kDoubling;
+  return std::nullopt;
 }
 
 const char* sla_class_name(SlaClass cls) {
@@ -140,31 +140,5 @@ SolveResult Solver::solve(const SolveRequest& request,
                           SolveWorkspace& workspace) {
   return solve_request(request, deadline, &workspace);
 }
-
-Engine::Engine(EngineOptions options)
-    : impl_(std::make_unique<engine::BatchEngine>(options)) {}
-
-Engine::~Engine() = default;
-
-int Engine::num_threads() const { return impl_->num_threads(); }
-
-Ticket Engine::submit(SolveRequest request) {
-  return impl_->submit(std::move(request));
-}
-
-Ticket Engine::submit(SolveRequest request, const util::Deadline& deadline) {
-  return impl_->submit(std::move(request), deadline);
-}
-
-std::vector<SolveResult> Engine::solve_batch(
-    const std::vector<SolveRequest>& requests) {
-  return impl_->solve_batch(requests);
-}
-
-void Engine::close() { impl_->close(); }
-void Engine::drain() { impl_->drain(); }
-std::size_t Engine::queue_depth() const { return impl_->queue_depth(); }
-std::uint64_t Engine::submitted() const { return impl_->submitted(); }
-std::uint64_t Engine::completed() const { return impl_->completed(); }
 
 }  // namespace krsp::api

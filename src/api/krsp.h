@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/instance.h"
@@ -34,10 +35,6 @@
 #include "core/vertex_disjoint.h"
 #include "core/workspace.h"
 #include "util/deadline.h"
-
-namespace krsp::engine {
-class BatchEngine;
-}
 
 namespace krsp::api {
 
@@ -76,18 +73,22 @@ using core::solve_kbcp;
 using core::solve_vertex_disjoint;
 using core::TrafficClass;
 
-/// Which of the paper's algorithms to run (see README "Solver modes").
-enum class Mode {
-  kScaled,        // Theorem 4: (1+eps1, 2+eps2), polynomial — the default
-  kExactWeights,  // Lemma 3: (1, 2), pseudo-polynomial
-  kPhase1Only,    // Lemma 5: delay/D + cost/C_OPT <= 2, delay may exceed D
-};
+/// Which of the paper's algorithms to run (see README "Solver modes"):
+/// kScaled (Theorem 4: (1+eps1, 2+eps2), polynomial — the default),
+/// kExactWeights (Lemma 3: (1, 2), pseudo-polynomial) or kPhase1Only
+/// (Lemma 5: delay/D + cost/C_OPT <= 2, delay may exceed D).
+using Mode = core::SolverOptions::Mode;
 
-/// Ĉ search strategy for the cancellation cost cap.
-enum class GuessStrategy {
-  kBinarySearch,  // certifies the 2·(C_OPT+1) bound
-  kDoubling,      // <= 2× looser cap, fewer cancellation runs
-};
+/// Ĉ search strategy for the cancellation cost cap: kBinarySearch
+/// certifies the 2·(C_OPT+1) bound, kDoubling takes a cap up to 2× looser
+/// in fewer cancellation runs.
+using GuessStrategy = core::SolverOptions::GuessStrategy;
+
+/// The wire and command-line spellings: "scaled", "exact", "phase1" and
+/// "binary", "doubling". nullopt for any other name; callers word the
+/// error.
+[[nodiscard]] std::optional<Mode> parse_mode(std::string_view name);
+[[nodiscard]] std::optional<GuessStrategy> parse_guess(std::string_view name);
 
 /// Service class of a request for SLA-tiered admission (serving layer
 /// only; a direct Solver::solve ignores it). Interactive requests are
@@ -251,10 +252,6 @@ struct EngineOptions {
   /// Worker threads in the pool; 0 = std::thread::hardware_concurrency(),
   /// negative values clamp to 1.
   int num_threads = 0;
-  /// Keep one SolveWorkspace per worker alive across solves (the intended
-  /// configuration). false = fresh workspace per request; exists as the
-  /// E12 ablation knob and changes no results.
-  bool reuse_workspaces = true;
   /// Bound on requests waiting in the engine's work queue (excludes the
   /// ones already executing). submit() blocks — backpressure, never drops
   /// — while the queue is full; 0 = unbounded.
@@ -290,7 +287,7 @@ class Ticket {
   [[nodiscard]] SolveResult get() { return future_.get(); }
 
  private:
-  friend class engine::BatchEngine;
+  friend class Engine;
   Ticket(std::uint64_t id, std::future<SolveResult> future)
       : id_(id), future_(std::move(future)) {}
 
@@ -303,7 +300,9 @@ class Ticket {
 /// submit() enqueues one request onto a bounded MPMC work queue drained by
 /// the worker pool and returns a Ticket immediately; solve_batch() is the
 /// one-shot convenience built on top of it. Both may be called from any
-/// number of threads concurrently.
+/// number of threads concurrently. Each worker keeps one SolveWorkspace
+/// for its whole lifetime, so consecutive solves reuse the MCMF network,
+/// the bicameral DP tables and the residual storage.
 ///
 /// Determinism: each request is solved independently by exactly one worker
 /// using the same serial algorithm regardless of pool size or scheduling,
@@ -326,13 +325,15 @@ class Engine {
   /// Enqueues one request; blocks only when the queue is at capacity
   /// (EngineOptions::queue_capacity). After close(), returns an
   /// already-fulfilled kFailed ticket instead of enqueueing.
-  [[nodiscard]] Ticket submit(SolveRequest request);
-
-  /// Same, charging the solve against an absolute deadline anchored by the
-  /// caller (see Solver::solve overload); used by the serving layer to
-  /// bill queue wait against the request's end-to-end budget.
-  [[nodiscard]] Ticket submit(SolveRequest request,
-                              const util::Deadline& deadline);
+  ///
+  /// Without `deadline`, request.deadline_seconds is anchored when a
+  /// worker claims the request. With it, the solve is charged against
+  /// that absolute deadline anchored by the caller (see the Solver::solve
+  /// overload); the serving layer uses this to bill queue wait against
+  /// the request's end-to-end budget.
+  [[nodiscard]] Ticket submit(
+      SolveRequest request,
+      std::optional<util::Deadline> deadline = std::nullopt);
 
   /// Solves every request on the worker pool and returns results in
   /// request order. Blocks until the batch completes; per-request failures
@@ -353,7 +354,8 @@ class Engine {
   [[nodiscard]] std::uint64_t completed() const;
 
  private:
-  std::unique_ptr<engine::BatchEngine> impl_;
+  struct Impl;  // engine/engine.cc: queue, workers, per-worker workspaces
+  std::unique_ptr<Impl> impl_;
 };
 
 /// Configuration for the serving layer (server::SolveService and the
@@ -366,8 +368,6 @@ class Engine {
 struct ServerOptions {
   /// Worker threads of the underlying Engine; 0 = hardware concurrency.
   int num_threads = 0;
-  /// E12 ablation knob, forwarded to the Engine; changes no results.
-  bool reuse_workspaces = true;
 
   /// Admission bound: maximum requests admitted but not yet completed
   /// (queued + executing), across both SLA classes. Beyond it, serve()

@@ -41,9 +41,9 @@ Instance read_instance_impl(std::istream& is, std::string_view context) {
     if (have_query)
       peek.error("duplicate query line (first at line " +
                  std::to_string(query_line) + ")");
-    inst.s = static_cast<graph::VertexId>(peek.integer("source vertex"));
-    inst.t = static_cast<graph::VertexId>(peek.integer("target vertex"));
-    inst.k = static_cast<int>(peek.integer("path count k"));
+    inst.s = peek.int32("source vertex");
+    inst.t = peek.int32("target vertex");
+    inst.k = peek.int32("path count k");
     inst.delay_bound = peek.integer("delay bound");
     peek.expect_end();
     have_query = true;

@@ -1,8 +1,35 @@
 #include "core/scaling.h"
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
+
+#include "util/rational.h"
 
 namespace krsp::core {
+
+namespace {
+
+/// S = ⌈kn/ε⌉ when S < bound, the only case in which scaling shrinks the
+/// weights; nullopt otherwise. Decided in floating point first, because
+/// for a tiny ε the quotient is past int64.
+std::optional<std::int64_t> scale_below(double kn, double eps,
+                                        std::int64_t bound) {
+  const double s = std::ceil(kn / eps);
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(s < kTwo63) || static_cast<std::int64_t>(s) >= bound)
+    return std::nullopt;
+  return static_cast<std::int64_t>(s);
+}
+
+/// ⌊w·num/den⌋ with the product in 128 bits: w·S can pass int64, the
+/// quotient cannot, since S = num < den.
+std::int64_t scale_weight(std::int64_t w, std::int64_t num,
+                          std::int64_t den) {
+  return static_cast<std::int64_t>(static_cast<util::Int128>(w) * num / den);
+}
+
+}  // namespace
 
 ScaledInstance scale_instance(const Instance& inst, double eps1, double eps2,
                               graph::Cost cost_guess) {
@@ -15,27 +42,26 @@ ScaledInstance scale_instance(const Instance& inst, double eps1, double eps2,
 
   const auto kn = static_cast<double>(inst.k) *
                   static_cast<double>(inst.graph.num_vertices());
-  const auto s_d = static_cast<std::int64_t>(std::ceil(kn / eps1));
-  const auto s_c = static_cast<std::int64_t>(std::ceil(kn / eps2));
-
-  if (inst.delay_bound > 0 && s_d < inst.delay_bound) {
+  if (const auto s_d = scale_below(kn, eps1, inst.delay_bound)) {
     out.delay_scaled = true;
-    out.delay_num = s_d;
+    out.delay_num = *s_d;
     out.delay_den = inst.delay_bound;
-    out.scaled.delay_bound = s_d;
+    out.scaled.delay_bound = *s_d;
   }
-  if (cost_guess > 0 && s_c < cost_guess) {
+  if (const auto s_c = scale_below(kn, eps2, cost_guess)) {
     out.cost_scaled = true;
-    out.cost_num = s_c;
+    out.cost_num = *s_c;
     out.cost_den = cost_guess;
   }
 
   out.scaled.graph.resize(inst.graph.num_vertices());
   for (const auto& e : inst.graph.edges()) {
     const graph::Delay d =
-        out.delay_scaled ? (e.delay * out.delay_num) / out.delay_den : e.delay;
+        out.delay_scaled ? scale_weight(e.delay, out.delay_num, out.delay_den)
+                         : e.delay;
     const graph::Cost c =
-        out.cost_scaled ? (e.cost * out.cost_num) / out.cost_den : e.cost;
+        out.cost_scaled ? scale_weight(e.cost, out.cost_num, out.cost_den)
+                        : e.cost;
     out.scaled.graph.add_edge(e.from, e.to, c, d);
   }
   return out;

@@ -43,12 +43,15 @@ Solution from_phase1(const Phase1Result& p1) {
   return s;
 }
 
-/// Phase 1 gets `fraction` of the remaining budget (exact feasibility
-/// answers are cheap; the guess loops are where time goes).
-util::Deadline stage_deadline(const util::Deadline& total, double fraction) {
+/// Phase 1 gets this fraction of the remaining budget; the rest funds the
+/// cancellation and guess loops. Phase 1's feasibility answers stay exact
+/// regardless (its two bracketing flows always run).
+constexpr double kPhase1DeadlineFraction = 0.4;
+
+util::Deadline phase1_deadline(const util::Deadline& total) {
   if (!total.bounded()) return total;
   const double remaining = std::max(0.0, total.remaining_seconds());
-  return total.clipped_after_seconds(remaining * fraction);
+  return total.clipped_after_seconds(remaining * kPhase1DeadlineFraction);
 }
 
 }  // namespace
@@ -75,15 +78,9 @@ Solution KrspSolver::solve(const Instance& inst) const {
   return solve(inst, util::Deadline::after_seconds(options_.deadline_seconds));
 }
 
-Solution KrspSolver::solve(const Instance& inst,
-                           const util::Deadline& deadline) const {
-  return solve(inst, deadline, nullptr);
-}
-
 Solution KrspSolver::solve(const Instance& inst, const util::Deadline& deadline,
                            SolveWorkspace* ws) const {
   inst.validate();
-  if (ws != nullptr) ++ws->solves_started;
   const util::WallTimer timer;
   Solution s;
   switch (options_.mode) {
@@ -115,9 +112,8 @@ Solution KrspSolver::solve_with_cap_search(const Instance& inst,
                                            SolveWorkspace* ws) const {
   // Phase 1 on the original weights settles feasibility questions exactly
   // and provides the Ĉ search range.
-  const auto p1 = phase1_lagrangian(
-      inst, stage_deadline(deadline, options_.phase1_deadline_fraction),
-      ws != nullptr ? &ws->mcmf : nullptr);
+  const auto p1 = phase1_lagrangian(inst, phase1_deadline(deadline),
+                                    ws != nullptr ? &ws->mcmf : nullptr);
   Solution s = from_phase1(p1);
   if (s.status != SolveStatus::kApprox) return s;  // optimal or no solution
   if (s.delay <= inst.delay_bound) return s;       // Lemma 5 already met D

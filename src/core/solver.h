@@ -30,7 +30,10 @@ enum class SolveStatus {
 };
 
 struct SolverOptions {
-  enum class Mode { kExactWeights, kScaled, kPhase1Only };
+  /// Which of the paper's algorithms to run. The enumerator values are
+  /// mixed into request fingerprints (cache and router-ring keys) and
+  /// index the per-mode solve-time histogram, so their order is fixed.
+  enum class Mode { kScaled, kExactWeights, kPhase1Only };
   Mode mode = Mode::kScaled;
   double eps1 = 0.25;  // delay slack (Theorem 4)
   double eps2 = 0.25;  // cost slack (Theorem 4)
@@ -48,10 +51,6 @@ struct SolverOptions {
   /// honored between pipeline iterations, so the overshoot is bounded by
   /// one MCMF call / cancellation round.
   double deadline_seconds = 0.0;
-  /// Fraction of the remaining budget granted to phase 1; the rest funds
-  /// the cancellation/guess loops. Phase 1's feasibility answers stay
-  /// exact regardless (its two bracketing flows always run).
-  double phase1_deadline_fraction = 0.4;
 
   CycleCancelOptions cancel;
 };
@@ -110,15 +109,12 @@ class KrspSolver {
   /// Solve against an absolute deadline (overrides options().deadline_
   /// seconds). Lets callers with an external clock — the scaled wrapper's
   /// inner solver, the resilience controller mid-event — share one budget
-  /// across nested solves instead of re-anchoring it.
-  [[nodiscard]] Solution solve(const Instance& inst,
-                               const util::Deadline& deadline) const;
-
-  /// Solve reusing per-thread scratch (core/workspace.h): allocation-free
-  /// hot paths on repeat solves, identical results. `ws` may be nullptr.
+  /// across nested solves instead of re-anchoring it. A non-null `ws`
+  /// reuses per-thread scratch (core/workspace.h): allocation-free hot
+  /// paths on repeat solves, identical results.
   [[nodiscard]] Solution solve(const Instance& inst,
                                const util::Deadline& deadline,
-                               SolveWorkspace* ws) const;
+                               SolveWorkspace* ws = nullptr) const;
 
   [[nodiscard]] const SolverOptions& options() const { return options_; }
 

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -54,6 +55,18 @@ std::int64_t FieldScanner::integer(const char* what) {
   return value;
 }
 
+int FieldScanner::int32(const char* what) {
+  skip_spaces();
+  const std::size_t start = pos_;
+  const std::int64_t value = integer(what);
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max())
+    fail(std::string(what) + " " + std::to_string(value) +
+             " overflows 32 bits",
+         start);
+  return static_cast<int>(value);
+}
+
 std::string FieldScanner::word(const char* what) {
   skip_spaces();
   const std::size_t start = pos_;
@@ -86,13 +99,13 @@ void GraphParser::consume(std::string_view line, int line_number) {
   if (kind == 'p') {
     const std::string tag = scan.word("problem tag");
     if (tag != "krsp") scan.error("unexpected problem tag \"" + tag + "\"");
-    const std::int64_t n = scan.integer("vertex count");
-    const std::int64_t m = scan.integer("edge count");
+    const int n = scan.int32("vertex count");
+    const int m = scan.int32("edge count");
     scan.expect_end();
     if (n < 0 || m < 0)
       scan.error("vertex/edge counts must be non-negative");
-    graph_.resize(static_cast<int>(n));
-    declared_edges_ = static_cast<int>(m);
+    graph_.resize(n);
+    declared_edges_ = m;
     have_header_ = true;
     return;
   }

@@ -44,6 +44,9 @@ class FieldScanner {
   /// Consumes the next integer token; `what` names it in errors
   /// ("arc cost"). Rejects non-numeric tokens and int64 overflow.
   [[nodiscard]] std::int64_t integer(const char* what);
+  /// Same, for a count or id stored as int: rejects values outside int32
+  /// instead of wrapping them into a different valid one.
+  [[nodiscard]] int int32(const char* what);
   /// Consumes the next whitespace-delimited word.
   [[nodiscard]] std::string word(const char* what);
   /// Requires only whitespace to remain on the line.

@@ -1,7 +1,11 @@
 #include "server/request_parse.h"
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 
 namespace krsp::server {
@@ -35,15 +39,40 @@ bool parse_solve_request(const wire::Value& req,
     std::shared_ptr<const api::TopologyRef> ref =
         catalog->find(topology->string);
     if (ref == nullptr) return fail("unknown topology: " + topology->string);
-    const auto s =
-        static_cast<graph::VertexId>(req.get_int("s", ref->instance->s));
-    const auto t =
-        static_cast<graph::VertexId>(req.get_int("t", ref->instance->t));
-    const int k = static_cast<int>(req.get_int("k", ref->instance->k));
-    const graph::Delay bound =
-        req.get_int("delay_bound", ref->instance->delay_bound);
-    if (s == ref->instance->s && t == ref->instance->t &&
-        k == ref->instance->k && bound == ref->instance->delay_bound) {
+    // A present query field must be a JSON integer in range: a string, a
+    // fraction or a value past int64 (or past the vertex or k range) would
+    // otherwise be dropped, truncated or wrapped into a different query.
+    // These are the instance invariants an override could break, checked
+    // up front so a bad override is a parse-time structured error, never
+    // a failed solve.
+    const api::Instance& defaults = *ref->instance;
+    std::int64_t q[4] = {defaults.s, defaults.t, defaults.k,
+                         defaults.delay_bound};
+    const char* const keys[4] = {"s", "t", "k", "delay_bound"};
+    for (int i = 0; i < 4; ++i) {
+      const wire::Value* v = req.find(keys[i]);
+      if (v == nullptr) continue;
+      if (v->type != wire::Value::Type::kNumber || !v->is_integer)
+        return fail(std::string("bad query override: \"") + keys[i] +
+                    "\" is not a 64-bit integer");
+      q[i] = v->integer;
+    }
+    const auto [s, t, k, bound] = q;
+    const std::int64_t n = defaults.graph.num_vertices();
+    std::string what;
+    if (s < 0 || s >= n)
+      what = "bad source " + std::to_string(s);
+    else if (t < 0 || t >= n)
+      what = "bad sink " + std::to_string(t);
+    else if (s == t)
+      what = "s == t";
+    else if (k < 1 || k > std::numeric_limits<int>::max())
+      what = "k = " + std::to_string(k);
+    else if (bound < 0)
+      what = "D = " + std::to_string(bound);
+    if (!what.empty()) return fail("bad query override: " + what);
+    if (s == defaults.s && t == defaults.t && k == defaults.k &&
+        bound == defaults.delay_bound) {
       // Default query: share the catalog's instance as-is — no copy, no
       // parse, O(1) fingerprinting off the stored prefixes.
       request.topology = std::move(ref);
@@ -53,24 +82,11 @@ bool parse_solve_request(const wire::Value& req,
       // graph prefix (api/fingerprint.h), so cache lookups and routing
       // stay O(1); the O(m) instance copy happens only when a solve
       // actually runs (api::SolveRequest::materialized_instance on a
-      // cache miss). The instance invariants the override could break
-      // are checked up front so a bad override is still a parse-time
-      // structured error, never a failed solve.
-      std::ostringstream what;
-      if (!ref->instance->graph.is_vertex(s))
-        what << "bad source " << s;
-      else if (!ref->instance->graph.is_vertex(t))
-        what << "bad sink " << t;
-      else if (s == t)
-        what << "s == t";
-      else if (k < 1)
-        what << "k = " << k;
-      else if (bound < 0)
-        what << "D = " << bound;
-      if (!what.str().empty())
-        return fail("bad query override: " + what.str());
+      // cache miss).
       request.topology = std::move(ref);
-      request.query_override = api::QueryOverride{s, t, k, bound};
+      request.query_override = api::QueryOverride{
+          static_cast<graph::VertexId>(s), static_cast<graph::VertexId>(t),
+          static_cast<int>(k), bound};
     }
   } else {
     // Protocol v1: inline .kri instance (accepted indefinitely).
@@ -86,23 +102,14 @@ bool parse_solve_request(const wire::Value& req,
   }
 
   const std::string mode = req.get_string("mode", "scaled");
-  if (mode == "scaled") {
-    request.mode = api::Mode::kScaled;
-  } else if (mode == "exact") {
-    request.mode = api::Mode::kExactWeights;
-  } else if (mode == "phase1") {
-    request.mode = api::Mode::kPhase1Only;
-  } else {
-    return fail("unknown mode: " + mode);
-  }
+  const std::optional<api::Mode> parsed_mode = api::parse_mode(mode);
+  if (!parsed_mode) return fail("unknown mode: " + mode);
+  request.mode = *parsed_mode;
   const std::string guess = req.get_string("guess", "binary");
-  if (guess == "binary") {
-    request.guess = api::GuessStrategy::kBinarySearch;
-  } else if (guess == "doubling") {
-    request.guess = api::GuessStrategy::kDoubling;
-  } else {
-    return fail("unknown guess: " + guess);
-  }
+  const std::optional<api::GuessStrategy> parsed_guess =
+      api::parse_guess(guess);
+  if (!parsed_guess) return fail("unknown guess: " + guess);
+  request.guess = *parsed_guess;
   const std::string sla = req.get_string("class", "batch");
   if (sla == "interactive") {
     request.sla = api::SlaClass::kInteractive;

@@ -65,7 +65,6 @@ void note_outcome(const ServeResponse& resp) {
 api::EngineOptions engine_options(const api::ServerOptions& options) {
   api::EngineOptions eo;
   eo.num_threads = options.num_threads;
-  eo.reuse_workspaces = options.reuse_workspaces;
   // Admission bounds pending work; the engine queue itself stays
   // unbounded so an admitted request can never block on backpressure.
   eo.queue_capacity = 0;
@@ -192,9 +191,7 @@ ServeResponse SolveService::serve(api::SolveRequest request) {
   // the queue is charged against it and the worker sees only what's left.
   const util::Deadline deadline =
       util::Deadline::after_seconds(request.deadline_seconds);
-  api::Ticket ticket = request.deadline_seconds > 0.0
-                           ? engine_.submit(std::move(request), deadline)
-                           : engine_.submit(std::move(request));
+  api::Ticket ticket = engine_.submit(std::move(request), deadline);
   resp.result = ticket.get();
   admission_.on_complete(resp.result.telemetry.wall_seconds, sla);
   served_.fetch_add(1, std::memory_order_relaxed);

@@ -286,8 +286,8 @@ double Value::get_number(std::string_view k, double def) const {
 
 std::int64_t Value::get_int(std::string_view k, std::int64_t def) const {
   const Value* v = find(k);
-  if (v == nullptr || v->type != Type::kNumber) return def;
-  return v->is_integer ? v->integer : static_cast<std::int64_t>(v->number);
+  return v != nullptr && v->type == Type::kNumber && v->is_integer ? v->integer
+                                                                   : def;
 }
 
 bool Value::get_bool(std::string_view k, bool def) const {

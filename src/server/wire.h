@@ -42,6 +42,8 @@ struct Value {
   [[nodiscard]] std::string get_string(std::string_view key,
                                        std::string_view def = "") const;
   [[nodiscard]] double get_number(std::string_view key, double def) const;
+  /// Only an integer literal within int64 counts; a fraction, an exponent
+  /// or a number past int64 is mistyped (returns `def`).
   [[nodiscard]] std::int64_t get_int(std::string_view key,
                                      std::int64_t def) const;
   [[nodiscard]] bool get_bool(std::string_view key, bool def) const;

@@ -9,6 +9,7 @@
 
 #include <charconv>
 #include <cstdint>
+#include <exception>
 #include <iostream>
 #include <map>
 #include <optional>
@@ -105,7 +106,9 @@ class Cli {
 };
 
 /// Runs a tool's main body; a malformed command line prints the error and
-/// the tool's usage line on stderr and exits 2 instead of escaping main.
+/// the tool's usage line on stderr and exits 2, and any other exception (an
+/// unreadable or malformed input file) prints its message and exits 1,
+/// instead of escaping main into std::terminate.
 template <class Body>
 int run_tool(const char* usage, Body&& body) {
   try {
@@ -113,6 +116,9 @@ int run_tool(const char* usage, Body&& body) {
   } catch (const CliError& e) {
     std::cerr << e.what() << "\n" << usage << "\n";
     return 2;
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
 }
 

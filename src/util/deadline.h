@@ -26,12 +26,20 @@ class Deadline {
   Deadline() = default;
 
   /// Expires `seconds` from now; non-positive values mean unbounded
-  /// (matching SolverOptions::deadline_seconds <= 0 = disabled).
+  /// (matching SolverOptions::deadline_seconds <= 0 = disabled), and so do
+  /// values past the clock's range, which could never expire.
   static Deadline after_seconds(double seconds) {
     Deadline d;
     if (seconds > 0.0) {
-      d.at_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                 std::chrono::duration<double>(seconds));
+      const Clock::time_point now = Clock::now();
+      // Half the headroom leaves room for rounding in the double-to-tick
+      // conversion, which must not overflow.
+      const double headroom =
+          std::chrono::duration<double>(Clock::time_point::max() - now)
+              .count();
+      if (seconds < headroom / 2)
+        d.at_ = now + std::chrono::duration_cast<Clock::duration>(
+                          std::chrono::duration<double>(seconds));
     }
     return d;
   }

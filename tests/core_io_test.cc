@@ -82,6 +82,23 @@ TEST(InstanceIo, MalformedQueryFieldNamesLineAndColumn) {
             "line 3, column 5: expected integer for target vertex, got \"x\"");
 }
 
+// Query fields past int32 used to wrap into a different valid query
+// (t = 4294967298 read as 2, k = 4294967297 as 1).
+TEST(InstanceIo, QueryFieldsPastInt32AreRejectedNotWrapped) {
+  const std::string t = error_message([] {
+    std::stringstream ss(
+        "p krsp 3 2\na 0 1 1 1\na 1 2 1 1\nq 0 4294967298 1 5\n");
+    (void)read_instance(ss);
+  });
+  EXPECT_EQ(t, "line 4, column 5: target vertex 4294967298 overflows 32 bits");
+  const std::string k = error_message([] {
+    std::stringstream ss(
+        "p krsp 3 2\na 0 1 1 1\na 1 2 1 1\nq 0 2 4294967297 5\n");
+    (void)read_instance(ss);
+  });
+  EXPECT_EQ(k, "line 4, column 7: path count k 4294967297 overflows 32 bits");
+}
+
 TEST(InstanceIo, DuplicateQueryLineNamesTheFirst) {
   const std::string msg = error_message([] {
     std::stringstream ss("p krsp 2 1\na 0 1 1 1\nq 0 1 1 5\nq 0 1 1 5\n");

@@ -270,5 +270,76 @@ TEST(EdgeCases, LargeSafeWeightsSolveToBruteForceOptimum) {
   EXPECT_LE(r.delay, inst.delay_bound);
   EXPECT_TRUE(r.paths.is_valid(inst));
 }
+
+// Scaled mode multiplies each delay by S_d = ⌈kn/ε1⌉ = 12 before dividing
+// by D: 1.1e18 · 12 passes int64 although the scaled delay (16) does not.
+// The only path within (1+ε1)·D is 0→1→2 (cost 1, delay 1e17); every
+// phase-1 weight of this instance fits in int64.
+TEST(EdgeCases, ScaledWeightsWhoseProductPassesInt64) {
+  api::SolveRequest req;
+  Instance& inst = req.instance;
+  inst.graph.resize(3);
+  inst.graph.add_edge(0, 2, 0, 1100000000000000000LL);
+  inst.graph.add_edge(0, 1, 1, 50000000000000000LL);
+  inst.graph.add_edge(1, 2, 0, 50000000000000000LL);
+  inst.s = 0;
+  inst.t = 2;
+  inst.k = 1;
+  inst.delay_bound = 800000000000000000LL;
+  for (const api::Mode mode : {api::Mode::kScaled, api::Mode::kExactWeights}) {
+    req.mode = mode;
+    const api::SolveResult r = api::Solver::solve(req);
+    ASSERT_TRUE(r.has_paths()) << r.error;
+    EXPECT_EQ(r.cost, 1);
+    EXPECT_EQ(r.delay, 100000000000000000LL);
+  }
+}
+
+/// k = 1 with three s→t routes (cost, delay): A (1, 10), B (5, 5) and
+/// C (3, 8), D = 8. Phase 1 misses D, so scaled mode runs its cap search;
+/// the optimum is C.
+api::SolveRequest three_route_request() {
+  api::SolveRequest req;
+  Instance& inst = req.instance;
+  inst.graph.resize(5);
+  for (const auto& [via, cost, delay] :
+       {std::tuple{1, 1, 10}, std::tuple{2, 5, 5}, std::tuple{3, 3, 8}}) {
+    inst.graph.add_edge(0, via, cost, delay);
+    inst.graph.add_edge(via, 4, 0, 0);
+  }
+  inst.s = 0;
+  inst.t = 4;
+  inst.k = 1;
+  inst.delay_bound = 8;
+  return req;
+}
+
+// For ε1 = 1e-300, ⌈kn/ε1⌉ is past int64: delay scaling is skipped (S_d
+// is not below D), not fed an out-of-range conversion.
+TEST(EdgeCases, TinyEps1SkipsDelayScaling) {
+  api::SolveRequest req = three_route_request();
+  req.eps1 = 1e-300;
+  const api::SolveResult r = api::Solver::solve(req);
+  ASSERT_TRUE(r.has_paths()) << r.error;
+  EXPECT_GT(r.telemetry.guess_attempts, 0);
+  EXPECT_EQ(r.cost, 3);
+  EXPECT_EQ(r.delay, 8);
+}
+
+// A deadline past the steady clock's range never expires: the solve runs
+// to completion, as without a deadline.
+TEST(EdgeCases, DeadlinePastTheClockRangeIsUnbounded) {
+  api::SolveRequest req = three_route_request();
+  const api::SolveResult unbounded = api::Solver::solve(req);
+  req.deadline_seconds = 1e300;
+  const api::SolveResult r = api::Solver::solve(req);
+  ASSERT_TRUE(r.has_paths()) << r.error;
+  EXPECT_GT(r.telemetry.guess_attempts, 0);
+  EXPECT_FALSE(r.telemetry.deadline_expired);
+  EXPECT_EQ(r.degradation(), api::DegradationStep::kNone);
+  EXPECT_EQ(r.cost, unbounded.cost);
+  EXPECT_EQ(r.paths.paths(), unbounded.paths.paths());
+}
+
 }  // namespace
 }  // namespace krsp

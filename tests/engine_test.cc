@@ -1,7 +1,8 @@
-// Concurrency and workspace-reuse guarantees of the batch engine and the
+// Concurrency and workspace-reuse guarantees of the engine and the
 // krsp::api facade:
-//  * batches are bit-identical across pool sizes (1, 2, 8 threads) and
-//    across the workspace-reuse ablation — scheduling is unobservable;
+//  * batches are bit-identical across pool sizes (1, 2, 8 threads), whose
+//    workers reuse their workspaces along different histories —
+//    scheduling is unobservable;
 //  * a SolveWorkspace reused across 50 randomized instances matches a
 //    fresh solve on every one;
 //  * per-request failures surface as kFailed results, never exceptions,
@@ -86,18 +87,6 @@ TEST(Engine, BatchBitIdenticalAcrossThreadCounts) {
   EXPECT_GT(with_paths, static_cast<int>(batch.size()) / 2);
 }
 
-TEST(Engine, WorkspaceReuseAblationChangesNothing) {
-  const auto batch = mixed_batch(12);
-  Engine reusing(EngineOptions{.num_threads = 4, .reuse_workspaces = true});
-  Engine fresh(EngineOptions{.num_threads = 4, .reuse_workspaces = false});
-  const auto with_reuse = reusing.solve_batch(batch);
-  const auto without = fresh.solve_batch(batch);
-  ASSERT_EQ(with_reuse.size(), without.size());
-  for (std::size_t i = 0; i < batch.size(); ++i)
-    expect_identical(with_reuse[i], without[i],
-                     "request " + std::to_string(i));
-}
-
 TEST(Engine, ReusedWorkspaceMatchesFreshOn50RandomInstances) {
   SolveWorkspace reused;
   int cancellation_engaged = 0;
@@ -114,9 +103,6 @@ TEST(Engine, ReusedWorkspaceMatchesFreshOn50RandomInstances) {
   // The reuse claim is empty if no solve ever touched the finder tables.
   EXPECT_GT(cancellation_engaged, 0);
   EXPECT_GT(reused.mcmf.reuse_hits(), 0u);
-  // Scaled-mode requests nest an inner exact-weights solve per cap guess on
-  // the same workspace, so the count is at least one per trial.
-  EXPECT_GE(reused.solves_started, 50u);
 }
 
 TEST(Engine, PerRequestFailureIsIsolated) {

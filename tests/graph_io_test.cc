@@ -115,6 +115,21 @@ TEST(GraphIo, IntegerOverflowIsDiagnosedNotWrapped) {
   EXPECT_NE(msg.find("arc cost overflows 64 bits"), std::string::npos) << msg;
 }
 
+// Counts past int32 used to wrap into a different valid graph
+// (4294967299 vertices read as 3).
+TEST(GraphIo, CountsPastInt32AreRejectedNotWrapped) {
+  const std::string n = error_message([] {
+    std::stringstream ss("p krsp 4294967299 2\n");
+    (void)read_graph(ss);
+  });
+  EXPECT_EQ(n, "line 1, column 8: vertex count 4294967299 overflows 32 bits");
+  const std::string m = error_message([] {
+    std::stringstream ss("p krsp 3 4294967298\na 0 1 1 1\na 1 2 1 1\n");
+    (void)read_graph(ss);
+  });
+  EXPECT_EQ(m, "line 1, column 10: edge count 4294967298 overflows 32 bits");
+}
+
 TEST(GraphIo, SemanticErrorsArePositionedToo) {
   const std::string out_of_range = error_message([] {
     std::stringstream ss("p krsp 3 1\na 0 7 1 1\n");

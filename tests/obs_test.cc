@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/krsp.h"
@@ -199,6 +200,41 @@ TEST(ObsRegistry, SameKeyYieldsSameMetric) {
   EXPECT_EQ(&a, &b);
   Counter& c = reg.counter("obs_test_dup", "k=\"w\"");
   EXPECT_NE(&a, &c);
+}
+
+// krsp_solve_wall_ns is resolved per mode by indexing a table with the
+// mode enumerator's value, so each solve must land under its own label.
+TEST(ObsRegistry, SolveWallTimeIsRecordedUnderItsModeLabel) {
+  api::SolveRequest req;
+  req.instance.graph.resize(3);
+  req.instance.graph.add_edge(0, 1, 1, 1);
+  req.instance.graph.add_edge(1, 2, 1, 1);
+  req.instance.graph.add_edge(0, 2, 5, 1);
+  req.instance.s = 0;
+  req.instance.t = 2;
+  req.instance.k = 1;
+  req.instance.delay_bound = 1;
+  const std::pair<api::Mode, const char*> labels[] = {
+      {api::Mode::kScaled, "mode=\"scaled\""},
+      {api::Mode::kExactWeights, "mode=\"exact\""},
+      {api::Mode::kPhase1Only, "mode=\"phase1\""},
+  };
+  const auto count = [](const char* label) {
+    return Registry::global()
+        .histogram("krsp_solve_wall_ns", label)
+        .snapshot()
+        .count;
+  };
+  for (const auto& [mode, label] : labels) {
+    std::vector<std::uint64_t> before;
+    for (const auto& entry : labels) before.push_back(count(entry.second));
+    req.mode = mode;
+    ASSERT_TRUE(api::Solver::solve(req).has_paths()) << label;
+    for (std::size_t i = 0; i < before.size(); ++i)
+      EXPECT_EQ(count(labels[i].second),
+                before[i] + (labels[i].second == label ? 1 : 0))
+          << "solved " << label << ", read " << labels[i].second;
+  }
 }
 
 // ------------------------------------------------------------------- tracer

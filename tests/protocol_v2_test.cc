@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "api/krsp.h"
 #include "server/service.h"
@@ -176,6 +177,44 @@ TEST(ProtocolV2Test, QueryOverridesSolveTheModifiedInstance) {
   EXPECT_FALSE(err->get_bool("ok", true));
   EXPECT_NE(err->get_string("error").find("bad query override"),
             std::string::npos);
+}
+
+// A query field must be a JSON integer in range. Each line below used to
+// be solved as some other query: truncated ("s":<s>.9), wrapped ("s" or
+// "k" past 2^32), dropped for the default ("s":"7"), or converted from a
+// double past int64, which is undefined.
+TEST(ProtocolV2Test, QueryOverrideFieldsMustBeIntegersInRange) {
+  const api::Instance inst = random_instance(113);
+  const store::TopologyCatalog catalog =
+      one_topology_catalog("v2_override_range", "net", inst);
+  SolveService service(api::ServerOptions{.num_threads = 1});
+  LocalTransport transport(service, &catalog);
+
+  constexpr std::int64_t kWrap = std::int64_t{1} << 32;
+  const std::string s = std::to_string(inst.s);
+  const std::string wrapped_s = std::to_string(kWrap + inst.s);
+  const std::string wrapped_k = std::to_string(kWrap + inst.k);
+  const auto not_integer = [](const std::string& key) {
+    return "bad query override: \"" + key + "\" is not a 64-bit integer";
+  };
+  const std::pair<std::string, std::string> cases[] = {
+      {"\"s\":" + wrapped_s, "bad query override: bad source " + wrapped_s},
+      {"\"s\":" + s + ".9", not_integer("s")},
+      {"\"k\":" + wrapped_k, "bad query override: k = " + wrapped_k},
+      {"\"s\":\"" + s + "\"", not_integer("s")},
+      {"\"t\":1e300", not_integer("t")},
+      {"\"delay_bound\":99999999999999999999", not_integer("delay_bound")},
+  };
+  for (const auto& [field, error] : cases) {
+    const std::string line =
+        R"({"op":"solve","id":"r","topology":"net","mode":"exact",)" + field +
+        "}";
+    const auto resp = wire::parse(transport.request(line));
+    ASSERT_TRUE(resp.has_value()) << line;
+    EXPECT_FALSE(resp->get_bool("ok", true)) << line;
+    EXPECT_EQ(resp->get_string("error"), error) << line;
+  }
+  EXPECT_EQ(service.stats().received, 0u);
 }
 
 TEST(ProtocolV2Test, FailureModesAreStructuredErrorsNotCloses) {

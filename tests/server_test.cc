@@ -90,6 +90,19 @@ TEST(ServerWire, ObjectRoundTripKeepsTypesExact) {
   EXPECT_EQ(arr->items[1].items[0].integer, 2);
 }
 
+TEST(ServerWire, GetIntReadsOnlyIntegerLiterals) {
+  const auto v = wire::parse(
+      R"({"a":1e300,"b":-1e300,"c":99999999999999999999,"d":85.9,"e":-7})");
+  ASSERT_TRUE(v.has_value());
+  // A double is never converted (past int64 that would be undefined), and
+  // a fraction is not silently truncated: both are mistyped.
+  EXPECT_EQ(v->get_int("a", 3), 3);
+  EXPECT_EQ(v->get_int("b", 3), 3);
+  EXPECT_EQ(v->get_int("c", 3), 3);
+  EXPECT_EQ(v->get_int("d", 3), 3);
+  EXPECT_EQ(v->get_int("e", 3), -7);
+}
+
 TEST(ServerWire, UnicodeEscapesDecodeToUtf8) {
   const auto v = wire::parse(R"({"u":"aé中😀b"})");
   ASSERT_TRUE(v.has_value());

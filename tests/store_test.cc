@@ -339,6 +339,105 @@ TEST(TopologyCatalogTest, PrefixFingerprintsMatchInlineHashing) {
   EXPECT_NE(a.key, c.key);
 }
 
+// Golden keys: the result cache and the router ring key on these values,
+// which mix the mode and guess enumerators numerically, so reordering an
+// enumerator (or any change to the hashed words) moves every cached entry
+// and every request's shard. Inline and topology-default requests share
+// one pair; the override asks s=1, t=4, k=1, D=7 on the same graph.
+TEST(TopologyCatalogTest, RequestFingerprintsMatchGoldenValues) {
+  core::Instance inst;
+  inst.graph.resize(5);
+  inst.graph.add_edge(0, 1, 3, 2);
+  inst.graph.add_edge(1, 4, 1, 5);
+  inst.graph.add_edge(0, 2, 2, 2);
+  inst.graph.add_edge(2, 4, 4, 1);
+  inst.graph.add_edge(0, 3, 1, 6);
+  inst.graph.add_edge(3, 4, 2, 2);
+  inst.graph.add_edge(1, 2, 1, 1);
+  inst.s = 0;
+  inst.t = 4;
+  inst.k = 2;
+  inst.delay_bound = 9;
+  const std::string dir = temp_path("catalog_golden");
+  std::filesystem::create_directories(dir);
+  CsrContainer::write_file(dir + "/net.krspb", inst);
+  const TopologyCatalog catalog = TopologyCatalog::load(dir);
+
+  using api::GuessStrategy;
+  using api::Mode;
+  struct Golden {
+    Mode mode;
+    GuessStrategy guess;
+    double eps;
+    std::uint64_t key, verify, override_key, override_verify;
+  };
+  const Golden golden[] = {
+      {Mode::kScaled, GuessStrategy::kBinarySearch, 0.25,
+       0xcf3b25feddf68d68ULL, 0x3ac714a5449dd917ULL,
+       0x81ade3a6f6517384ULL, 0xf40ffead6a00719eULL},
+      {Mode::kScaled, GuessStrategy::kBinarySearch, 0.50,
+       0x12bd131f59c367a8ULL, 0x8b01af642f9e1a1cULL,
+       0x4e18beb0e9099464ULL, 0xd964ae43669d0a71ULL},
+      {Mode::kScaled, GuessStrategy::kDoubling, 0.25,
+       0xabe8e0275e61e2e9ULL, 0xb6e8d98ef63d89b3ULL,
+       0x2399def344a139c5ULL, 0xc3ca60f07a07262eULL},
+      {Mode::kScaled, GuessStrategy::kDoubling, 0.50,
+       0xc7688c67073aed89ULL, 0x72b1dc184317ee7fULL,
+       0xe0f171d2c98d29c5ULL, 0xe249e8bf4ca5118eULL},
+      {Mode::kExactWeights, GuessStrategy::kBinarySearch, 0.25,
+       0x5f26d0ab7690b789ULL, 0x6490fd6cd5193851ULL,
+       0x8f687e41ad2e40e5ULL, 0x688e2e338890aebaULL},
+      {Mode::kExactWeights, GuessStrategy::kBinarySearch, 0.50,
+       0x59f36c9641a701a9ULL, 0xb833a2373b07ec6aULL,
+       0xc1b72337b96083e5ULL, 0x8a7a59bd35e19eb6ULL},
+      {Mode::kExactWeights, GuessStrategy::kDoubling, 0.25,
+       0xd1a398449b535d88ULL, 0x0a35cb7361223494ULL,
+       0x3338d42b0d0eb3a4ULL, 0xd32841a036aac8c8ULL},
+      {Mode::kExactWeights, GuessStrategy::kDoubling, 0.50,
+       0x9e7b734e8e685048ULL, 0x1ad013093d9072deULL,
+       0x2812f015d3177604ULL, 0xdb81435b2cae3016ULL},
+      {Mode::kPhase1Only, GuessStrategy::kBinarySearch, 0.25,
+       0xc2d86d07d862abeaULL, 0x977b97f5a9687eb4ULL,
+       0x1e0e28ee44b3a866ULL, 0xb09d855989bfe082ULL},
+      {Mode::kPhase1Only, GuessStrategy::kBinarySearch, 0.50,
+       0xc6c5d11d0c379f2aULL, 0xd1782389c0086701ULL,
+       0x02fafcae9c369626ULL, 0xc2f73b7664106386ULL},
+      {Mode::kPhase1Only, GuessStrategy::kDoubling, 0.25,
+       0x4f82256eb2e73babULL, 0xfcb48f9ed5513580ULL,
+       0xa75913e5bc1bc2c7ULL, 0x7f2c1c5a66e2772cULL},
+      {Mode::kPhase1Only, GuessStrategy::kDoubling, 0.50,
+       0x8316ca64c02e414bULL, 0x4129f4ef0dc6cec9ULL,
+       0xbc79c0255f8b4d47ULL, 0x1938270b1dcb6147ULL},
+  };
+  for (const Golden& g : golden) {
+    api::SolveRequest inline_req;
+    inline_req.instance = inst;
+    inline_req.mode = g.mode;
+    inline_req.guess = g.guess;
+    inline_req.eps1 = inline_req.eps2 = g.eps;
+    api::SolveRequest default_req = inline_req;
+    default_req.instance = {};
+    default_req.topology = catalog.find("net");
+    ASSERT_NE(default_req.topology, nullptr);
+    api::SolveRequest override_req = default_req;
+    override_req.query_override = api::QueryOverride{1, 4, 1, 7};
+
+    const std::string what = "mode " +
+                             std::to_string(static_cast<int>(g.mode)) +
+                             " guess " +
+                             std::to_string(static_cast<int>(g.guess)) +
+                             " eps " + std::to_string(g.eps);
+    for (const api::SolveRequest* req : {&inline_req, &default_req}) {
+      const api::FingerprintPair fp = api::request_fingerprints(*req);
+      EXPECT_EQ(fp.key, g.key) << what;
+      EXPECT_EQ(fp.verify, g.verify) << what;
+    }
+    const api::FingerprintPair fp = api::request_fingerprints(override_req);
+    EXPECT_EQ(fp.key, g.override_key) << what;
+    EXPECT_EQ(fp.verify, g.override_verify) << what;
+  }
+}
+
 TEST(TopologyCatalogTest, ConcurrentFindsAreSafeAndConsistent) {
   const std::string dir = temp_path("catalog4");
   std::filesystem::create_directories(dir);

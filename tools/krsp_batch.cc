@@ -5,8 +5,7 @@
 //   $ krsp_batch --instances=a.kri,b.kri [--repeat=4] [--threads=0]
 //                [--mode=scaled|exact|phase1] [--eps1=0.25] [--eps2=0.25]
 //                [--deadline=0.1] [--guess=binary|doubling]
-//                [--no-reuse] [--trace-out=trace.json] [--trace-sample=1]
-//                [--quiet]
+//                [--trace-out=trace.json] [--trace-sample=1] [--quiet]
 //
 // --trace-out enables the obs tracer for the run and writes every
 // worker's span timeline (solve, phase1, mcmf, cycle_cancel_round,
@@ -16,9 +15,7 @@
 //
 // The request list is the cross product instances × repeat, in file order,
 // so results are reproducible: the engine guarantees the same output for
-// the same request list regardless of --threads. --no-reuse disables
-// per-worker workspace reuse (the E12 ablation; identical results, more
-// allocation).
+// the same request list regardless of --threads.
 //
 // Requests are streamed through Engine::submit() against a bounded queue
 // rather than materialized as one solve_batch() call: each result prints
@@ -31,6 +28,7 @@
 #include <deque>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -47,7 +45,7 @@ constexpr char kUsage[] =
     "usage: krsp_batch --instances=<a.kri,b.kri,...> [--repeat=1] "
     "[--threads=0] [--mode=scaled|exact|phase1] [--eps1=0.25] "
     "[--eps2=0.25] [--eps=0.25] [--deadline=<seconds>] "
-    "[--guess=binary|doubling] [--no-reuse] [--trace-out=<file>] "
+    "[--guess=binary|doubling] [--trace-out=<file>] "
     "[--trace-sample=1] [--quiet]";
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -73,7 +71,6 @@ int run(int argc, char** argv) {
   const double eps2 = cli.get_double("eps2", eps);
   const double deadline = cli.get_double("deadline", 0.0);
   const std::string guess = cli.get_string("guess", "binary");
-  const bool no_reuse = cli.get_bool("no-reuse", false);
   const std::string trace_out = cli.get_string("trace-out", "");
   const auto trace_sample = cli.get_int("trace-sample", 1);
   const bool quiet = cli.get_bool("quiet", false);
@@ -89,23 +86,13 @@ int run(int argc, char** argv) {
     obs::Tracer::global().enable();
   }
 
-  api::Mode api_mode;
-  if (mode == "scaled") {
-    api_mode = api::Mode::kScaled;
-  } else if (mode == "exact") {
-    api_mode = api::Mode::kExactWeights;
-  } else if (mode == "phase1") {
-    api_mode = api::Mode::kPhase1Only;
-  } else {
+  const std::optional<api::Mode> api_mode = api::parse_mode(mode);
+  if (!api_mode) {
     std::cerr << "unknown --mode: " << mode << "\n";
     return 2;
   }
-  api::GuessStrategy api_guess;
-  if (guess == "binary") {
-    api_guess = api::GuessStrategy::kBinarySearch;
-  } else if (guess == "doubling") {
-    api_guess = api::GuessStrategy::kDoubling;
-  } else {
+  const std::optional<api::GuessStrategy> api_guess = api::parse_guess(guess);
+  if (!api_guess) {
     std::cerr << "unknown --guess: " << guess << "\n";
     return 2;
   }
@@ -117,10 +104,10 @@ int run(int argc, char** argv) {
   for (const std::string& file : files) {
     api::SolveRequest req;
     req.instance = api::read_instance_file(file);
-    req.mode = api_mode;
+    req.mode = *api_mode;
     req.eps1 = eps1;
     req.eps2 = eps2;
-    req.guess = api_guess;
+    req.guess = *api_guess;
     req.deadline_seconds = deadline;
     req.tag = file;
     prototypes.push_back(std::move(req));
@@ -135,12 +122,10 @@ int run(int argc, char** argv) {
 
   // Bounded queue: submit() blocks once the engine is this far ahead of
   // its workers, so arbitrarily long request lists stream in O(1) memory.
-  api::Engine engine(api::EngineOptions{.num_threads = threads,
-                                        .reuse_workspaces = !no_reuse,
-                                        .queue_capacity = 64});
+  api::Engine engine(
+      api::EngineOptions{.num_threads = threads, .queue_capacity = 64});
   std::cout << "batch: " << batch.size() << " request(s) over "
             << engine.num_threads() << " thread(s), mode " << mode
-            << (no_reuse ? ", workspace reuse OFF" : "")
             << ", streaming\n";
 
   std::map<std::string, int> by_status;

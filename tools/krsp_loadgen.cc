@@ -60,6 +60,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -184,14 +185,8 @@ int run(int argc, char** argv) {
                  "for the local reference instances\n";
     return 2;
   }
-  api::Mode api_mode;
-  if (mode == "scaled") {
-    api_mode = api::Mode::kScaled;
-  } else if (mode == "exact") {
-    api_mode = api::Mode::kExactWeights;
-  } else if (mode == "phase1") {
-    api_mode = api::Mode::kPhase1Only;
-  } else {
+  const std::optional<api::Mode> api_mode = api::parse_mode(mode);
+  if (!api_mode) {
     std::cerr << "unknown --mode: " << mode << "\n";
     return 2;
   }
@@ -242,7 +237,7 @@ int run(int argc, char** argv) {
                     << "\n";
           return 2;
         }
-        req.mode = api_mode;
+        req.mode = *api_mode;
         req.eps1 = eps1;
         req.eps2 = eps2;
         entry.reference = api::Solver::solve(req);
@@ -263,7 +258,7 @@ int run(int argc, char** argv) {
     if (!inst) continue;
     api::SolveRequest req;
     req.instance = *inst;
-    req.mode = api_mode;
+    req.mode = *api_mode;
     req.eps1 = eps1;
     req.eps2 = eps2;
 

@@ -5,8 +5,7 @@
 //                [--degrade-wait=0] [--overload-eps-factor=2]
 //                [--overload-eps-cap=1] [--cache-capacity=1024]
 //                [--cache-shards=8] [--no-cache] [--no-deadline-admission]
-//                [--no-reuse] [--trace-out=FILE] [--trace-sample=1]
-//                [--quiet]
+//                [--trace-out=FILE] [--trace-sample=1] [--quiet]
 //   $ krsp_serve --tcp=4701 [...]          # TCP listener instead
 //
 // --tcp=PORT listens on TCP instead of a Unix socket (the fleet-shard
@@ -65,7 +64,7 @@ constexpr char kUsage[] =
     "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
     "[--degrade-wait=0] [--overload-eps-factor=2] [--overload-eps-cap=1] "
     "[--cache-capacity=1024] [--cache-shards=8] [--no-cache] "
-    "[--no-deadline-admission] [--no-reuse] [--trace-out=FILE] "
+    "[--no-deadline-admission] [--trace-out=FILE] "
     "[--trace-sample=1] [--quiet]  (exactly one of --socket / --tcp)";
 
 krsp::server::SocketServer* g_server = nullptr;
@@ -105,7 +104,6 @@ int run(int argc, char** argv) {
   if (cli.get_bool("no-cache", false)) options.cache_capacity = 0;
   options.deadline_aware_admission =
       !cli.get_bool("no-deadline-admission", false);
-  options.reuse_workspaces = !cli.get_bool("no-reuse", false);
   const std::string trace_out = cli.get_string("trace-out", "");
   const auto trace_sample = cli.get_int("trace-sample", 1);
   const bool quiet = cli.get_bool("quiet", false);

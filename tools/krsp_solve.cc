@@ -14,6 +14,7 @@
 // JSON for chrome://tracing / ui.perfetto.dev.
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 #include "api/krsp.h"
 #include "obs/export.h"
@@ -53,27 +54,21 @@ int run(int argc, char** argv) {
   request.instance = api::read_instance_file(path);
   std::cout << "instance: " << request.instance.summary() << "\n";
 
-  if (mode == "scaled") {
-    request.mode = api::Mode::kScaled;
-  } else if (mode == "exact") {
-    request.mode = api::Mode::kExactWeights;
-  } else if (mode == "phase1") {
-    request.mode = api::Mode::kPhase1Only;
-  } else {
+  const std::optional<api::Mode> api_mode = api::parse_mode(mode);
+  if (!api_mode) {
     std::cerr << "unknown --mode: " << mode << "\n";
     return 2;
   }
+  request.mode = *api_mode;
   request.eps1 = eps1;
   request.eps2 = eps2;
   request.deadline_seconds = deadline;
-  if (guess == "binary") {
-    request.guess = api::GuessStrategy::kBinarySearch;
-  } else if (guess == "doubling") {
-    request.guess = api::GuessStrategy::kDoubling;
-  } else {
+  const std::optional<api::GuessStrategy> api_guess = api::parse_guess(guess);
+  if (!api_guess) {
     std::cerr << "unknown --guess: " << guess << "\n";
     return 2;
   }
+  request.guess = *api_guess;
 
   const auto result = api::Solver::solve(request);
   switch (result.status) {

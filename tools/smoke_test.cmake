@@ -1,5 +1,5 @@
 # End-to-end CLI smoke test: krsp_gen -> krsp_solve in all three modes,
-# the batch engine, and malformed command lines.
+# the batch engine, malformed command lines and bad input files.
 set(instance "${WORK_DIR}/smoke.kri")
 set(solution "${WORK_DIR}/smoke.krp")
 
@@ -59,5 +59,22 @@ foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc")
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: krsp_")
     message(FATAL_ERROR "bad command line '${case}' gave (${rc}): ${out}${err}")
+  endif()
+endforeach()
+
+# An unreadable or malformed input file prints the error and exits 1
+# (never std::terminate): a missing file, and a vertex count past int32,
+# which must not wrap into a different valid instance.
+set(malformed "${WORK_DIR}/malformed.kri")
+file(WRITE ${malformed} "p krsp 4294967299 2\n")
+foreach(case "SOLVE;--instance=${malformed}" "BATCH;--instances=${malformed}"
+             "SOLVE;--instance=${WORK_DIR}/no_such_file.kri")
+  list(POP_FRONT case tool)
+  execute_process(
+    COMMAND ${KRSP_${tool}} ${case}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES
+     "line 1, column 8: vertex count 4294967299 overflows 32 bits|cannot open")
+    message(FATAL_ERROR "bad input file '${case}' gave (${rc}): ${out}${err}")
   endif()
 endforeach()
