@@ -90,12 +90,12 @@ std::string strip_timing(std::string line) {
 double run_form(const std::vector<std::string>& lines, int requests,
                 const store::TopologyCatalog* catalog) {
   server::SolveService service(api::ServerOptions{.num_threads = 1});
-  server::LocalTransport transport(service, catalog);
-  for (const auto& line : lines) (void)transport.request(line);
+  server::Protocol protocol(service, catalog);
+  for (const auto& line : lines) (void)protocol.handle_line(line);
   const auto start = Clock::now();
   for (int r = 0; r < requests; ++r) {
     const std::string resp =
-        transport.request(lines[static_cast<std::size_t>(r) % lines.size()]);
+        protocol.handle_line(lines[static_cast<std::size_t>(r) % lines.size()]);
     KRSP_CHECK_MSG(resp.find("\"served\":true") != std::string::npos,
                    "request not served: " << resp.substr(0, 200));
   }
@@ -152,10 +152,10 @@ int run(int argc, char** argv) {
   for (std::size_t i = 0; i < v1_lines.size(); ++i) {
     server::SolveService v1_service(api::ServerOptions{.num_threads = 1});
     server::SolveService v2_service(api::ServerOptions{.num_threads = 1});
-    server::LocalTransport v1(v1_service);
-    server::LocalTransport v2(v2_service, &catalog);
-    const std::string a = strip_timing(v1.request(v1_lines[i]));
-    const std::string b = strip_timing(v2.request(v2_lines[i]));
+    server::Protocol v1(v1_service);
+    server::Protocol v2(v2_service, &catalog);
+    const std::string a = strip_timing(v1.handle_line(v1_lines[i]));
+    const std::string b = strip_timing(v2.handle_line(v2_lines[i]));
     if (a != b) {
       identical = false;
       std::cout << "  MISMATCH on request " << i << ":\n    v1: " << a

@@ -162,7 +162,8 @@ PhaseReport run_phase(const std::string& socket_path,
       faults.seed = fault_seed + static_cast<std::uint64_t>(c);
       faults.fault_rate = fault_rate;
       faults.stall_ms = 5;  // keep wall time bounded; the *ratio* gates
-      server::ResilientClient client(socket_path, retry, faults);
+      server::ResilientClient client(server::Endpoint::unix_socket(socket_path),
+                                     retry, faults);
       for (int r = c; r < requests; r += clients) {
         const std::size_t i = static_cast<std::size_t>(r) % pool.size();
         const auto sent = Clock::now();
@@ -295,7 +296,9 @@ int run(int argc, char** argv) {
     const std::string socket_path =
         "/tmp/krsp_e15_" + std::to_string(::getpid()) + "_" +
         std::to_string(ri) + ".sock";
-    server::SocketServer socket_server(service, socket_path);
+    server::Protocol protocol(service);
+    server::SocketServer socket_server(
+        protocol, server::Endpoint::unix_socket(socket_path));
     std::string error;
     if (!socket_server.start(&error)) {
       std::cerr << "E15: " << error << "\n";

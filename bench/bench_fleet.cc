@@ -134,7 +134,9 @@ class Fleet {
       options.cache_shards = 1;  // one LRU per shard: capacity is exact
       options.max_pending = max_pending;
       shard->service.emplace(options);
-      shard->server.emplace(*shard->service, shard->path, &catalog);
+      shard->protocol.emplace(*shard->service, &catalog);
+      shard->server.emplace(*shard->protocol,
+                            server::Endpoint::unix_socket(shard->path));
       std::string error;
       KRSP_CHECK_MSG(shard->server->start(&error), "shard start: " << error);
       shard->accept_thread =
@@ -165,6 +167,7 @@ class Fleet {
   struct ShardProcess {
     std::string path;
     std::optional<server::SolveService> service;
+    std::optional<server::Protocol> protocol;
     std::optional<server::SocketServer> server;
     std::thread accept_thread;
   };
@@ -322,11 +325,11 @@ int run(int argc, char** argv) {
   {
     Fleet fleet(2, catalog, cache, 256);
     server::SolveService direct_service(api::ServerOptions{.num_threads = 1});
-    server::LocalTransport direct(direct_service, &catalog);
+    server::Protocol direct(direct_service, &catalog);
     for (const auto& line : lines) {
       const std::string routed =
           strip_variable(fleet.router().handle_line(line));
-      const std::string expected = strip_variable(direct.request(line));
+      const std::string expected = strip_variable(direct.handle_line(line));
       if (routed != expected) {
         identical = false;
         std::cout << "  MISMATCH:\n    routed: " << routed

@@ -323,10 +323,8 @@ int run(int argc, char** argv) {
             << "% of request cpu -> overhead ratio " << ratio << "\n";
 
   // The on arm must actually have traced the hot path, or the overhead
-  // number proves nothing. (Skipped when the instrumentation is compiled
-  // out: -DKRSP_OBS=OFF makes both arms identical by construction.)
+  // number proves nothing.
   bool spans_ok = true;
-#if !defined(KRSP_OBS_DISABLED)
   for (const char* expected :
        {"solve", "phase1", "mcmf", "queue_wait", "cache_lookup",
         "admission"}) {
@@ -336,9 +334,6 @@ int run(int argc, char** argv) {
       spans_ok = false;
     }
   }
-#else
-  std::cout << "(KRSP_OBS=OFF build: span capture check skipped)\n";
-#endif
 
   const bool identical = mismatches == 0;
   if (!out_path.empty())

@@ -5,8 +5,9 @@
 # a direct solve, every served row naming its shard), then kill -9 one
 # shard mid-run and require 100% eventual success through the router's
 # mark-down + failover path. Finally SIGTERM the router and the survivor
-# and require clean drains ending in structured final_stats lines (the
-# shard's carrying the per-protocol solves_v1/solves_v2 split).
+# and require clean drains ending in structured final_stats lines that
+# carry every field of each daemon's stats op (the shard's including the
+# per-protocol solves_v1/solves_v2 split).
 #
 #   usage: fleet_smoke.sh <krsp_serve> <krsp_loadgen> <krsp_router> \
 #                         <krsp_gen> <krsp_pack>
@@ -33,6 +34,23 @@ trap 'kill "$ROUTER_PID" "$SHARD_A_PID" "$SHARD_B_PID" 2>/dev/null || true
 "$GEN" --family=waxman --n=40 --k=2 --slack=0.35 --seed=77 \
        --out="$DIR/waxman.kri" >/dev/null
 "$PACK" --in="$DIR/waxman.kri" --out="$CATALOG/waxman40.krspb" >/dev/null
+
+# Fails unless the final_stats line in log $1 (from daemon $2) carries
+# every field named after it.
+require_fields() {
+  _log="$1"; _who="$2"; shift 2
+  _final="$(grep '"event":"final_stats"' "$_log" || true)"
+  for _field in "$@"; do
+    case "$_final" in
+      *"\"$_field\":"*) ;;
+      *)
+        echo "fleet_smoke: $_who final_stats lacks \"$_field\":" >&2
+        cat "$_log" >&2
+        exit 1
+        ;;
+    esac
+  done
+}
 
 # Parse the kernel-picked port from a server's announced
 #   {"event":"listening","transport":"tcp","port":NNNN}
@@ -132,6 +150,11 @@ for needle in '"event":"final_stats"' '"router":true' '"state":"down"'; do
     exit 1
   fi
 done
+require_fields "$DIR/router.log" router event protocol_version router \
+  shards ring_shards vnodes requests_routed no_shard_errors shard_stats \
+  name state ewma_probe_ms keyspace_share in_flight forwards_ok \
+  forwards_failed forwards_refused probes_ok probes_failed recoveries \
+  connections peer_resets send_failures
 
 # The surviving shard drains cleanly too, reporting the per-protocol
 # solve split (all traffic here was v2 topology requests).
@@ -148,5 +171,15 @@ for needle in '"event":"final_stats"' '"solves_v1":' '"solves_v2":'; do
     exit 1
   fi
 done
+require_fields "$DIR/shard-b.log" "shard B" event protocol_version \
+  solves_v1 solves_v2 received served rejected_queue_full \
+  rejected_deadline rejected_draining cache_hits cache_misses \
+  cache_insertions cache_evictions cache_entries cache_shard_entries \
+  pending peak_pending ewma_service_ms interactive_admitted \
+  interactive_rejected_queue_full interactive_rejected_deadline \
+  interactive_degraded interactive_pending interactive_ewma_service_ms \
+  batch_admitted batch_rejected_queue_full batch_rejected_deadline \
+  batch_degraded batch_pending batch_ewma_service_ms threads \
+  catalog_topologies connections peer_resets send_failures
 
 echo "fleet_smoke: OK"

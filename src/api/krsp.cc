@@ -29,6 +29,12 @@ std::optional<GuessStrategy> parse_guess(std::string_view name) {
   return std::nullopt;
 }
 
+std::optional<SlaClass> parse_sla_class(std::string_view name) {
+  if (name == "interactive") return SlaClass::kInteractive;
+  if (name == "batch") return SlaClass::kBatch;
+  return std::nullopt;
+}
+
 const char* sla_class_name(SlaClass cls) {
   switch (cls) {
     case SlaClass::kInteractive:

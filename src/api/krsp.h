@@ -99,6 +99,8 @@ enum class SlaClass { kInteractive, kBatch };
 
 /// Short stable name ("interactive", "batch") for wire and logs.
 [[nodiscard]] const char* sla_class_name(SlaClass cls);
+/// The inverse of sla_class_name; nullopt for any other name.
+[[nodiscard]] std::optional<SlaClass> parse_sla_class(std::string_view name);
 
 /// A named, immutable topology shared across requests — the API face of
 /// one catalog entry (store::TopologyCatalog materializes these from
@@ -361,10 +363,13 @@ class Engine {
 /// Configuration for the serving layer (server::SolveService and the
 /// krsp_serve front-end). The service stacks three mechanisms in front of
 /// the streaming Engine: a sharded LRU result cache, an admission
-/// controller that rejects rather than queues-to-death, and end-to-end
-/// deadline accounting (queue wait is charged against a request's
-/// deadline_seconds; what remains at execution start funds the anytime
-/// ladder).
+/// controller that rejects rather than queues-to-death (a deadline-bounded
+/// request whose predicted queue wait, pending × EWMA service time /
+/// workers, already exhausts its deadline_seconds is rejected up front:
+/// an immediate, honest rejection instead of a guaranteed timeout), and
+/// end-to-end deadline accounting (queue wait is charged against a
+/// request's deadline_seconds; what remains at execution start funds the
+/// anytime ladder).
 struct ServerOptions {
   /// Worker threads of the underlying Engine; 0 = hardware concurrency.
   int num_threads = 0;
@@ -380,22 +385,10 @@ struct ServerOptions {
   std::size_t max_pending_batch = 0;
   /// Interactive overload ladder: when the predicted queue wait for an
   /// arriving interactive request exceeds this many seconds, admit it in
-  /// degraded mode — coarsen eps1/eps2 (kScaled) and switch the cap
-  /// search to kDoubling — instead of queueing the full-accuracy solve.
-  /// 0 disables the ladder. Degraded results are never cached.
+  /// degraded mode — double eps1/eps2 up to 1 (kScaled) and switch the
+  /// cap search to kDoubling — instead of queueing the full-accuracy
+  /// solve. 0 disables the ladder. Degraded results are never cached.
   double degrade_wait_seconds = 0.0;
-  /// eps multiplier applied on a degraded admit (kScaled requests).
-  double overload_eps_factor = 2.0;
-  /// Ceiling for the coarsened eps values.
-  double overload_eps_cap = 1.0;
-  /// Reject a deadline-bounded request up front when the predicted queue
-  /// wait (pending × EWMA service time / workers) would already exhaust
-  /// its deadline_seconds — an immediate, honest rejection instead of a
-  /// guaranteed timeout.
-  bool deadline_aware_admission = true;
-  /// EWMA seed for the per-request service-time estimate before the first
-  /// completion is observed; 0 = optimistic (admit until samples exist).
-  double service_time_prior_seconds = 0.0;
 
   /// Result-cache entry bound across all shards; 0 disables the cache.
   std::size_t cache_capacity = 1024;

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <optional>
 
 #include "util/rational.h"
@@ -10,13 +11,23 @@ namespace krsp::core {
 
 namespace {
 
+constexpr double kTwo63 = 9223372036854775808.0;
+
+/// An integral double as int64, clamped to the int64 range (NaN to the
+/// top): the plain conversion is undefined past 2^63, which (1+ε)·D
+/// reaches for a huge but finite ε.
+std::int64_t saturate(double x) {
+  if (!(x < kTwo63)) return std::numeric_limits<std::int64_t>::max();
+  if (x < -kTwo63) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(x);
+}
+
 /// S = ⌈kn/ε⌉ when S < bound, the only case in which scaling shrinks the
 /// weights; nullopt otherwise. Decided in floating point first, because
 /// for a tiny ε the quotient is past int64.
 std::optional<std::int64_t> scale_below(double kn, double eps,
                                         std::int64_t bound) {
   const double s = std::ceil(kn / eps);
-  constexpr double kTwo63 = 9223372036854775808.0;
   if (!(s < kTwo63) || static_cast<std::int64_t>(s) >= bound)
     return std::nullopt;
   return static_cast<std::int64_t>(s);
@@ -30,6 +41,15 @@ std::int64_t scale_weight(std::int64_t w, std::int64_t num,
 }
 
 }  // namespace
+
+graph::Delay scaled_delay_limit(double eps1, graph::Delay delay_bound) {
+  return saturate(
+      std::floor((1.0 + eps1) * static_cast<double>(delay_bound)));
+}
+
+graph::Cost scaled_cost_limit(double eps2, graph::Cost cost_guess) {
+  return saturate(std::ceil((2.0 + eps2) * static_cast<double>(cost_guess)));
+}
 
 ScaledInstance scale_instance(const Instance& inst, double eps1, double eps2,
                               graph::Cost cost_guess) {

@@ -28,4 +28,12 @@ struct ScaledInstance {
 ScaledInstance scale_instance(const Instance& inst, double eps1, double eps2,
                               graph::Cost cost_guess);
 
+/// ⌊(1+ε1)·D⌋, the delay a Theorem-4 solution may reach, and ⌈(2+ε2)·Ĉ⌉,
+/// the cost one found under the guess Ĉ may reach. Both saturate at the
+/// int64 range, so any finite ε > 0 is safe.
+[[nodiscard]] graph::Delay scaled_delay_limit(double eps1,
+                                              graph::Delay delay_bound);
+[[nodiscard]] graph::Cost scaled_cost_limit(double eps2,
+                                            graph::Cost cost_guess);
+
 }  // namespace krsp::core

@@ -1,7 +1,6 @@
 #include "core/solver.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/scaling.h"
 #include "core/workspace.h"
@@ -135,8 +134,8 @@ Solution KrspSolver::solve_with_cap_search(const Instance& inst,
   cancel_options.deadline = deadline;
   // Internal ε2/2 keeps the flooring loss within the advertised (2+ε2).
   const double eps2 = options_.eps2 / 2.0;
-  const auto delay_limit = static_cast<graph::Delay>(std::floor(
-      (1.0 + options_.eps1) * static_cast<double>(inst.delay_bound)));
+  const graph::Delay delay_limit =
+      scaled_delay_limit(options_.eps1, inst.delay_bound);
   SolverOptions inner_options = options_;
   inner_options.mode = SolverOptions::Mode::kExactWeights;
   const KrspSolver inner_solver(inner_options);
@@ -171,9 +170,7 @@ Solution KrspSolver::solve_with_cap_search(const Instance& inst,
     const graph::Cost cost = inner.paths.total_cost(inst.graph);
     const graph::Delay delay = inner.paths.total_delay(inst.graph);
     if (delay > delay_limit) return std::nullopt;
-    const auto threshold = static_cast<graph::Cost>(
-        std::ceil((2.0 + options_.eps2) * static_cast<double>(guess)));
-    if (cost > threshold) return std::nullopt;
+    if (cost > scaled_cost_limit(options_.eps2, guess)) return std::nullopt;
     return Attempt{std::move(inner.paths), cost, delay,
                    std::move(inner.telemetry.cancel)};
   };

@@ -12,14 +12,12 @@
 //   * tracing enabled: two clock reads (raw rdtsc with a calibrated
 //     tick->ns scale on x86-64 when the kernel clocksource is tsc;
 //     steady_clock otherwise) plus an append to a thread-local buffer
-//     whose mutex is uncontended except during snapshot();
-//   * compiled out (-DKRSP_OBS_DISABLED, CMake -DKRSP_OBS=OFF): the
-//     KRSP_OBS_* macros expand to nothing, spans cost zero.
+//     whose mutex is uncontended except during snapshot().
 //
 // Spans are pure observers: they never touch solver state, so results are
 // bit-identical with tracing on or off (pinned by obs_test.cc).
 //
-// Instrument with the macros, not the classes, so call sites compile out:
+// Instrument with the macros, not the classes:
 //
 //   void phase1(...) {
 //     KRSP_OBS_SPAN("phase1");          // RAII: closes at scope exit
@@ -147,17 +145,6 @@ class Span {
 
 }  // namespace krsp::obs
 
-#if defined(KRSP_OBS_DISABLED)
-#define KRSP_OBS_SPAN(name) \
-  do {                      \
-  } while (false)
-#define KRSP_OBS_RECORD(name, start_ns, end_ns) \
-  do {                                          \
-    (void)(start_ns);                           \
-    (void)(end_ns);                             \
-  } while (false)
-#define KRSP_OBS_NOW_NS() (std::int64_t{0})
-#else
 #define KRSP_OBS_CONCAT_INNER(a, b) a##b
 #define KRSP_OBS_CONCAT(a, b) KRSP_OBS_CONCAT_INNER(a, b)
 #define KRSP_OBS_SPAN(name) \
@@ -165,4 +152,3 @@ class Span {
 #define KRSP_OBS_RECORD(name, start_ns, end_ns) \
   ::krsp::obs::Tracer::global().record((name), (start_ns), (end_ns))
 #define KRSP_OBS_NOW_NS() ::krsp::obs::Tracer::global().now_ns_if_enabled()
-#endif

@@ -1,6 +1,8 @@
 #include "resilience/audit.h"
 
-#include <cmath>
+#include <limits>
+
+#include "core/scaling.h"
 
 namespace krsp::resilience {
 
@@ -10,10 +12,12 @@ graph::Delay audited_delay_cap(const core::Instance& inst,
     case core::SolverOptions::Mode::kExactWeights:
       return inst.delay_bound;
     case core::SolverOptions::Mode::kScaled:
-      return static_cast<graph::Delay>(std::floor(
-          (1.0 + options.eps1) * static_cast<double>(inst.delay_bound)));
+      return core::scaled_delay_limit(options.eps1, inst.delay_bound);
     case core::SolverOptions::Mode::kPhase1Only:
-      return 2 * inst.delay_bound;
+      // 2·D, saturating: D may be any non-negative int64.
+      return inst.delay_bound > std::numeric_limits<graph::Delay>::max() / 2
+                 ? std::numeric_limits<graph::Delay>::max()
+                 : 2 * inst.delay_bound;
   }
   return inst.delay_bound;
 }

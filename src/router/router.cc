@@ -238,10 +238,8 @@ std::string Router::forward_control(const std::string& line) {
                                        : "no shard available: " + last_error);
 }
 
-std::string Router::handle_router_stats() {
+void Router::stats_fields(ObjectWriter& w) const {
   const auto snap = snapshot();
-  ObjectWriter w;
-  w.field("ok", true);
   w.field("protocol_version",
           static_cast<std::int64_t>(server::kProtocolVersion));
   w.field("router", true);
@@ -278,7 +276,6 @@ std::string Router::handle_router_stats() {
   }
   arr.push_back(']');
   w.raw("shard_stats", arr);
-  return w.done();
 }
 
 std::string Router::handle_drain(const Value& req) {
@@ -324,7 +321,12 @@ std::string Router::handle_line(const std::string& line) {
 
   const std::string op = req->get_string("op", "solve");
   if (op == "solve") return route_solve(*req, line);
-  if (op == "stats") return handle_router_stats();
+  if (op == "stats") {
+    ObjectWriter w;
+    w.field("ok", true);
+    stats_fields(w);
+    return w.done();
+  }
   if (op == "metrics") {
     ObjectWriter w;
     w.field("ok", true);

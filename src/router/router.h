@@ -110,6 +110,11 @@ class Router final : public server::LineHandler {
   /// The ring key for a request line — exposed for affinity tests.
   [[nodiscard]] std::uint64_t route_key(const std::string& line) const;
 
+  /// Writes the stats op's fields into `w` (everything after "ok"): ring
+  /// membership and per-shard health, ring shares and forward counters.
+  /// krsp_router's final_stats line writes the same fields.
+  void stats_fields(server::wire::ObjectWriter& w) const;
+
  private:
   /// An immutable routing table: a ring over the names of the shards
   /// that were routable when it was built, plus the parallel Shard list.
@@ -123,7 +128,6 @@ class Router final : public server::LineHandler {
   [[nodiscard]] std::string route_solve(const server::wire::Value& req,
                                         const std::string& line);
   [[nodiscard]] std::string forward_control(const std::string& line);
-  [[nodiscard]] std::string handle_router_stats();
   [[nodiscard]] std::string handle_drain(const server::wire::Value& req);
   [[nodiscard]] std::uint64_t ring_key_for(const server::wire::Value& req,
                                            const std::string& line) const;

@@ -121,8 +121,7 @@ bool Shard::probe() {
     const double prev = ewma_probe_ms_.load(std::memory_order_relaxed);
     ewma_probe_ms_.store(
         prev == 0.0 ? ms
-                    : options_.ewma_alpha * ms +
-                          (1.0 - options_.ewma_alpha) * prev,
+                    : kProbeEwmaAlpha * ms + (1.0 - kProbeEwmaAlpha) * prev,
         std::memory_order_relaxed);
     probes_ok_.fetch_add(1, std::memory_order_relaxed);
     note_probe_success();

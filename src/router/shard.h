@@ -43,8 +43,6 @@ struct ShardOptions {
   int mark_down_after = 3;
   /// Consecutive probe successes before a down shard rejoins the ring.
   int mark_up_after = 2;
-  /// EWMA smoothing for probe latency (weight of the newest sample).
-  double ewma_alpha = 0.3;
   /// Probe stats-op response wait.
   double probe_timeout_ms = 1000.0;
   /// Per-forward retry policy. fail_fast_on_refused is forced on: the
@@ -54,6 +52,9 @@ struct ShardOptions {
 
 class Shard {
  public:
+  /// EWMA smoothing for probe latency (weight of the newest sample).
+  static constexpr double kProbeEwmaAlpha = 0.3;
+
   Shard(std::string name, server::Endpoint endpoint, ShardOptions options);
 
   [[nodiscard]] const std::string& name() const { return name_; }

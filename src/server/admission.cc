@@ -20,17 +20,25 @@ const char* admit_decision_name(AdmitDecision decision) {
   return "unknown";
 }
 
-AdmissionController::AdmissionController(AdmissionOptions options, int workers)
-    : options_(options),
-      workers_(std::max(1, workers)),
-      ewma_seconds_(std::max(0.0, options.service_time_prior_seconds)) {
-  KRSP_CHECK_MSG(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0,
-                 "ewma_alpha must be in (0, 1]");
+namespace {
+
+/// Folds one observed service time into an EWMA; the first one seeds it
+/// (blending against an empty 0 would take ~1/alpha samples to mean
+/// anything).
+void observe(double sample, double& ewma, bool& have_sample) {
+  constexpr double kAlpha = AdmissionController::kEwmaAlpha;
+  ewma = have_sample ? kAlpha * sample + (1.0 - kAlpha) * ewma : sample;
+  have_sample = true;
+}
+
+}  // namespace
+
+AdmissionController::AdmissionController(const api::ServerOptions& options,
+                                         int workers)
+    : options_(options), workers_(std::max(1, workers)) {
   KRSP_CHECK_MSG(options_.max_pending == 0 ||
                      options_.max_pending_batch <= options_.max_pending,
                  "max_pending_batch must not exceed max_pending");
-  interactive_.ewma_seconds = ewma_seconds_;
-  batch_.ewma_seconds = ewma_seconds_;
 }
 
 double AdmissionController::predicted_wait_locked() const {
@@ -45,7 +53,7 @@ AdmitDecision AdmissionController::admit(double deadline_seconds,
   const std::lock_guard<std::mutex> lock(mu_);
   ClassState& state = state_for(cls);
   if (options_.max_pending > 0 && pending_ >= options_.max_pending) {
-    ++state.rejected_queue_full;
+    ++state.stats.rejected_queue_full;
     return AdmitDecision::kRejectQueueFull;
   }
   // Batch budget: sheds batch load while interactive still admits. The
@@ -54,27 +62,26 @@ AdmitDecision AdmissionController::admit(double deadline_seconds,
     const std::size_t batch_budget = options_.max_pending_batch > 0
                                          ? options_.max_pending_batch
                                          : options_.max_pending;
-    if (state.pending >= batch_budget) {
-      ++state.rejected_queue_full;
+    if (state.stats.pending >= batch_budget) {
+      ++state.stats.rejected_queue_full;
       return AdmitDecision::kRejectQueueFull;
     }
   }
   // This request's own predicted wait (evaluated before it joins the
   // queue) drives both the deadline rule and the overload ladder.
   const double own_wait = predicted_wait_locked();
-  if (options_.deadline_aware && deadline_seconds > 0.0 &&
-      own_wait >= deadline_seconds) {
-    ++state.rejected_deadline;
+  if (deadline_seconds > 0.0 && own_wait >= deadline_seconds) {
+    ++state.stats.rejected_deadline;
     return AdmitDecision::kRejectDeadline;
   }
   ++pending_;
-  ++state.pending;
-  ++state.admitted;
+  ++state.stats.pending;
+  ++state.stats.admitted;
   peak_pending_ = std::max(peak_pending_, pending_);
   if (cls == api::SlaClass::kInteractive &&
       options_.degrade_wait_seconds > 0.0 &&
       own_wait >= options_.degrade_wait_seconds) {
-    ++state.degraded;
+    ++state.stats.degraded;
     return AdmitDecision::kAdmitDegraded;
   }
   return AdmitDecision::kAdmit;
@@ -85,52 +92,31 @@ void AdmissionController::on_complete(double service_seconds,
   const std::lock_guard<std::mutex> lock(mu_);
   ClassState& state = state_for(cls);
   KRSP_CHECK_MSG(pending_ > 0, "on_complete without a matching admit");
-  KRSP_CHECK_MSG(state.pending > 0,
+  KRSP_CHECK_MSG(state.stats.pending > 0,
                  "on_complete(" << api::sla_class_name(cls)
                                 << ") without a matching admit of that class");
   --pending_;
-  --state.pending;
+  --state.stats.pending;
   if (service_seconds >= 0.0) {
-    if (!have_sample_ && options_.service_time_prior_seconds <= 0.0) {
-      ewma_seconds_ = service_seconds;  // first sample seeds the EWMA
-    } else {
-      ewma_seconds_ = options_.ewma_alpha * service_seconds +
-                      (1.0 - options_.ewma_alpha) * ewma_seconds_;
-    }
-    have_sample_ = true;
-    if (!state.have_sample && options_.service_time_prior_seconds <= 0.0) {
-      state.ewma_seconds = service_seconds;
-    } else {
-      state.ewma_seconds = options_.ewma_alpha * service_seconds +
-                           (1.0 - options_.ewma_alpha) * state.ewma_seconds;
-    }
-    state.have_sample = true;
+    observe(service_seconds, ewma_seconds_, have_sample_);
+    observe(service_seconds, state.stats.ewma_service_seconds,
+            state.have_sample);
   }
 }
 
 AdmissionController::Snapshot AdmissionController::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
   Snapshot s;
-  s.admitted = interactive_.admitted + batch_.admitted;
+  s.interactive = interactive_.stats;
+  s.batch = batch_.stats;
+  s.admitted = s.interactive.admitted + s.batch.admitted;
   s.rejected_queue_full =
-      interactive_.rejected_queue_full + batch_.rejected_queue_full;
+      s.interactive.rejected_queue_full + s.batch.rejected_queue_full;
   s.rejected_deadline =
-      interactive_.rejected_deadline + batch_.rejected_deadline;
+      s.interactive.rejected_deadline + s.batch.rejected_deadline;
   s.pending = pending_;
   s.peak_pending = peak_pending_;
   s.ewma_service_seconds = ewma_seconds_;
-  const auto to_snapshot = [](const ClassState& state) {
-    ClassSnapshot cs;
-    cs.admitted = state.admitted;
-    cs.rejected_queue_full = state.rejected_queue_full;
-    cs.rejected_deadline = state.rejected_deadline;
-    cs.degraded = state.degraded;
-    cs.pending = state.pending;
-    cs.ewma_service_seconds = state.ewma_seconds;
-    return cs;
-  };
-  s.interactive = to_snapshot(interactive_);
-  s.batch = to_snapshot(batch_);
   return s;
 }
 

@@ -27,9 +27,13 @@
 // instead of queueing a full-accuracy solve or rejecting outright.
 // Per-class EWMAs and counters are kept for telemetry; the wait
 // prediction uses the global EWMA (the worker pool is shared, so the
-// queue drains at the blended rate).
+// queue drains at the blended rate). Every EWMA is seeded by its first
+// completion and then blends each new one in with weight kEwmaAlpha; until
+// the first completion the predicted wait is 0, so early requests admit.
 //
-// Thread-safe; one mutex, O(1) per call — negligible next to a solve.
+// The settings come from api::ServerOptions (max_pending,
+// max_pending_batch, degrade_wait_seconds). Thread-safe; one mutex, O(1)
+// per call — negligible next to a solve.
 #pragma once
 
 #include <cstdint>
@@ -38,24 +42,6 @@
 #include "api/krsp.h"
 
 namespace krsp::server {
-
-struct AdmissionOptions {
-  /// Max admitted-but-unfinished requests (queued + executing), both
-  /// classes combined; 0 = no cap.
-  std::size_t max_pending = 256;
-  /// Batch-class budget within max_pending; 0 = inherit max_pending.
-  std::size_t max_pending_batch = 0;
-  /// Enable the deadline-unmeetable rejection rule.
-  bool deadline_aware = true;
-  /// EWMA seed before any completion is observed; 0 = optimistic (predicted
-  /// wait is 0 until samples exist, so early requests always pass rule 2).
-  double service_time_prior_seconds = 0.0;
-  /// EWMA smoothing factor in (0, 1]; higher = faster adaptation.
-  double ewma_alpha = 0.15;
-  /// Interactive overload ladder: predicted wait beyond this many seconds
-  /// turns an interactive admit into kAdmitDegraded; 0 = ladder off.
-  double degrade_wait_seconds = 0.0;
-};
 
 enum class AdmitDecision {
   kAdmit,
@@ -70,7 +56,10 @@ enum class AdmitDecision {
 
 class AdmissionController {
  public:
-  AdmissionController(AdmissionOptions options, int workers);
+  /// Smoothing factor of the service-time EWMAs.
+  static constexpr double kEwmaAlpha = 0.15;
+
+  AdmissionController(const api::ServerOptions& options, int workers);
 
   /// Decides for one arriving request (deadline_seconds <= 0 = unbounded,
   /// exempt from the deadline rule). On kAdmit/kAdmitDegraded the request
@@ -85,14 +74,6 @@ class AdmissionController {
   void on_complete(double service_seconds,
                    api::SlaClass cls = api::SlaClass::kBatch);
 
-  struct ClassSnapshot {
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t degraded = 0;  // kAdmitDegraded decisions
-    std::size_t pending = 0;
-    double ewma_service_seconds = 0.0;
-  };
   struct Snapshot {
     std::uint64_t admitted = 0;
     std::uint64_t rejected_queue_full = 0;
@@ -100,8 +81,8 @@ class AdmissionController {
     std::size_t pending = 0;
     std::size_t peak_pending = 0;
     double ewma_service_seconds = 0.0;
-    ClassSnapshot interactive;
-    ClassSnapshot batch;
+    api::SlaClassStats interactive;
+    api::SlaClassStats batch;
   };
   [[nodiscard]] Snapshot snapshot() const;
 
@@ -110,12 +91,7 @@ class AdmissionController {
 
  private:
   struct ClassState {
-    std::size_t pending = 0;
-    std::uint64_t admitted = 0;
-    std::uint64_t rejected_queue_full = 0;
-    std::uint64_t rejected_deadline = 0;
-    std::uint64_t degraded = 0;
-    double ewma_seconds = 0.0;
+    api::SlaClassStats stats;
     bool have_sample = false;
   };
 
@@ -124,13 +100,13 @@ class AdmissionController {
     return cls == api::SlaClass::kInteractive ? interactive_ : batch_;
   }
 
-  const AdmissionOptions options_;
+  const api::ServerOptions options_;
   const int workers_;
 
   mutable std::mutex mu_;
   std::size_t pending_ = 0;
   std::size_t peak_pending_ = 0;
-  double ewma_seconds_;
+  double ewma_seconds_ = 0.0;
   bool have_sample_ = false;
   ClassState interactive_;
   ClassState batch_;

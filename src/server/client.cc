@@ -26,11 +26,6 @@ bool errno_is_refused(int err) { return err == ECONNREFUSED || err == ENOENT; }
 
 }  // namespace
 
-ResilientClient::ResilientClient(std::string socket_path, RetryOptions retry,
-                                 FaultOptions faults)
-    : ResilientClient(Endpoint::unix_socket(std::move(socket_path)), retry,
-                      faults) {}
-
 ResilientClient::ResilientClient(Endpoint endpoint, RetryOptions retry,
                                  FaultOptions faults)
     : endpoint_(std::move(endpoint)),

@@ -72,10 +72,7 @@ struct ClientCounters {
 
 class ResilientClient {
  public:
-  /// Back-compat ctor: the string is always a Unix socket path.
-  explicit ResilientClient(std::string socket_path, RetryOptions retry = {},
-                           FaultOptions faults = {});
-  /// Endpoint ctor: Unix socket or TCP (the fleet transport).
+  /// Unix socket or TCP (the fleet transport).
   explicit ResilientClient(Endpoint endpoint, RetryOptions retry = {},
                            FaultOptions faults = {});
   ~ResilientClient();

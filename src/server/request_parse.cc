@@ -1,5 +1,6 @@
 #include "server/request_parse.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -101,6 +102,19 @@ bool parse_solve_request(const wire::Value& req,
     }
   }
 
+  // A present solve field must carry its JSON type: a mistyped value
+  // would otherwise read as absent and silently serve the default request.
+  using Type = wire::Value::Type;
+  for (const auto& [key, type] :
+       {std::pair{"mode", Type::kString}, {"guess", Type::kString},
+        {"class", Type::kString}, {"eps", Type::kNumber},
+        {"eps1", Type::kNumber}, {"eps2", Type::kNumber},
+        {"deadline", Type::kNumber}}) {
+    const wire::Value* v = req.find(key);
+    if (v != nullptr && v->type != type)
+      return fail(std::string("bad ") + key + ": not a " +
+                  (type == Type::kString ? "string" : "number"));
+  }
   const std::string mode = req.get_string("mode", "scaled");
   const std::optional<api::Mode> parsed_mode = api::parse_mode(mode);
   if (!parsed_mode) return fail("unknown mode: " + mode);
@@ -111,14 +125,17 @@ bool parse_solve_request(const wire::Value& req,
   if (!parsed_guess) return fail("unknown guess: " + guess);
   request.guess = *parsed_guess;
   const std::string sla = req.get_string("class", "batch");
-  if (sla == "interactive") {
-    request.sla = api::SlaClass::kInteractive;
-  } else if (sla == "batch") {
-    request.sla = api::SlaClass::kBatch;
-  } else {
-    return fail("unknown class: " + sla);
+  const std::optional<api::SlaClass> parsed_sla = api::parse_sla_class(sla);
+  if (!parsed_sla) return fail("unknown class: " + sla);
+  request.sla = *parsed_sla;
+  // eps is the alias that sets both, as in the CLIs. Every mode keys the
+  // cache on both values, so each must be finite and > 0 in every mode.
+  for (const char* key : {"eps", "eps1", "eps2"}) {
+    const double eps = req.get_number(key, 0.25);
+    if (!(std::isfinite(eps) && eps > 0.0))
+      return fail(std::string("bad ") + key + ": must be finite and > 0");
   }
-  const double eps = req.get_number("eps", 0.25);  // alias, as in the CLIs
+  const double eps = req.get_number("eps", 0.25);
   request.eps1 = req.get_number("eps1", eps);
   request.eps2 = req.get_number("eps2", eps);
   request.deadline_seconds = req.get_number("deadline", 0.0);

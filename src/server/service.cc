@@ -62,25 +62,6 @@ void note_outcome(const ServeResponse& resp) {
   serve_outcome_counter(resp.sla, resp.status).inc();
 }
 
-api::EngineOptions engine_options(const api::ServerOptions& options) {
-  api::EngineOptions eo;
-  eo.num_threads = options.num_threads;
-  // Admission bounds pending work; the engine queue itself stays
-  // unbounded so an admitted request can never block on backpressure.
-  eo.queue_capacity = 0;
-  return eo;
-}
-
-AdmissionOptions admission_options(const api::ServerOptions& options) {
-  AdmissionOptions ao;
-  ao.max_pending = options.max_pending;
-  ao.max_pending_batch = options.max_pending_batch;
-  ao.deadline_aware = options.deadline_aware_admission;
-  ao.service_time_prior_seconds = options.service_time_prior_seconds;
-  ao.degrade_wait_seconds = options.degrade_wait_seconds;
-  return ao;
-}
-
 }  // namespace
 
 const char* serve_status_name(ServeStatus status) {
@@ -97,10 +78,13 @@ const char* serve_status_name(ServeStatus status) {
   return "unknown";
 }
 
+// Admission bounds pending work; the engine queue itself stays unbounded
+// (queue_capacity 0) so an admitted request can never block on
+// backpressure.
 SolveService::SolveService(api::ServerOptions options)
-    : options_(options),
-      engine_(engine_options(options)),
-      admission_(admission_options(options), engine_.num_threads()),
+    : engine_(api::EngineOptions{.num_threads = options.num_threads,
+                                 .queue_capacity = 0}),
+      admission_(options, engine_.num_threads()),
       cache_(options.cache_capacity, options.cache_shards) {}
 
 SolveService::~SolveService() { drain(); }
@@ -168,10 +152,10 @@ ServeResponse SolveService::serve(api::SolveRequest request) {
       // valid — only the approximation factor loosens.
       resp.degraded = true;
       if (request.mode == api::Mode::kScaled) {
-        request.eps1 = std::min(options_.overload_eps_cap,
-                                request.eps1 * options_.overload_eps_factor);
-        request.eps2 = std::min(options_.overload_eps_cap,
-                                request.eps2 * options_.overload_eps_factor);
+        request.eps1 = std::min(kOverloadEpsCap,
+                                request.eps1 * kOverloadEpsFactor);
+        request.eps2 = std::min(kOverloadEpsCap,
+                                request.eps2 * kOverloadEpsFactor);
       }
       request.guess = api::GuessStrategy::kDoubling;
       break;
@@ -228,18 +212,8 @@ api::ServeStats SolveService::stats() const {
   s.pending = adm.pending;
   s.peak_pending = adm.peak_pending;
   s.ewma_service_seconds = adm.ewma_service_seconds;
-  const auto to_class = [](const AdmissionController::ClassSnapshot& cs) {
-    api::SlaClassStats out;
-    out.admitted = cs.admitted;
-    out.rejected_queue_full = cs.rejected_queue_full;
-    out.rejected_deadline = cs.rejected_deadline;
-    out.degraded = cs.degraded;
-    out.pending = cs.pending;
-    out.ewma_service_seconds = cs.ewma_service_seconds;
-    return out;
-  };
-  s.interactive = to_class(adm.interactive);
-  s.batch = to_class(adm.batch);
+  s.interactive = adm.interactive;
+  s.batch = adm.batch;
   const auto cs = cache_.stats();
   s.cache_hits = cs.hits;
   s.cache_misses = cs.misses;

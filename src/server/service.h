@@ -48,8 +48,9 @@ struct ServeResponse {
   api::SlaClass sla = api::SlaClass::kBatch;
   /// True when the overload ladder coarsened this request before solving
   /// (interactive class under pressure): eps multiplied by
-  /// overload_eps_factor (kScaled) and the cap search switched to
-  /// kDoubling. Degraded results are never cached.
+  /// SolveService::kOverloadEpsFactor up to kOverloadEpsCap (kScaled) and
+  /// the cap search switched to kDoubling. Degraded results are never
+  /// cached.
   bool degraded = false;
   /// End-to-end time inside serve(), seconds.
   double total_seconds = 0.0;
@@ -71,6 +72,10 @@ struct ServeResponse {
 
 class SolveService {
  public:
+  /// The overload ladder's coarsening of a kScaled request's eps1/eps2.
+  static constexpr double kOverloadEpsFactor = 2.0;
+  static constexpr double kOverloadEpsCap = 1.0;
+
   explicit SolveService(api::ServerOptions options = {});
   ~SolveService();  // drains
   SolveService(const SolveService&) = delete;
@@ -87,10 +92,8 @@ class SolveService {
 
   [[nodiscard]] api::ServeStats stats() const;
   [[nodiscard]] int num_threads() const { return engine_.num_threads(); }
-  [[nodiscard]] const api::ServerOptions& options() const { return options_; }
 
  private:
-  const api::ServerOptions options_;
   api::Engine engine_;
   AdmissionController admission_;
   ResultCache cache_;

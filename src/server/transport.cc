@@ -241,16 +241,25 @@ std::string handle_topology(const wire::Value& req,
   return error_line("unknown topology: " + id);
 }
 
-std::string handle_stats(SolveService& service, std::uint64_t solves_v1,
-                         std::uint64_t solves_v2) {
-  const api::ServeStats s = service.stats();
+std::string handle_metrics() {
+  // The exposition travels as one JSON string field; ObjectWriter escapes
+  // the newlines, so the framing stays one object per line.
   wire::ObjectWriter w;
   w.field("ok", true);
   w.field("protocol_version", static_cast<std::int64_t>(kProtocolVersion));
+  w.field("metrics", obs::Registry::global().render_prometheus());
+  return w.done();
+}
+
+}  // namespace
+
+void Protocol::stats_fields(wire::ObjectWriter& w) const {
+  const api::ServeStats s = service_.stats();
+  w.field("protocol_version", static_cast<std::int64_t>(kProtocolVersion));
   // Adoption counters by request wire form (v1 inline instance vs v2
   // topology reference) — additive fields, safe for v1 stats readers.
-  w.field("solves_v1", solves_v1);
-  w.field("solves_v2", solves_v2);
+  w.field("solves_v1", solves_v1_.load(std::memory_order_relaxed));
+  w.field("solves_v2", solves_v2_.load(std::memory_order_relaxed));
   w.field("received", s.received);
   w.field("served", s.served);
   w.field("rejected_queue_full", s.rejected_queue_full);
@@ -273,21 +282,8 @@ std::string handle_stats(SolveService& service, std::uint64_t solves_v1,
   w.field("ewma_service_ms", s.ewma_service_seconds * 1e3);
   class_stats_fields(w, "interactive", s.interactive);
   class_stats_fields(w, "batch", s.batch);
-  w.field("threads", static_cast<std::int64_t>(service.num_threads()));
-  return w.done();
+  w.field("threads", static_cast<std::int64_t>(service_.num_threads()));
 }
-
-std::string handle_metrics() {
-  // The exposition travels as one JSON string field; ObjectWriter escapes
-  // the newlines, so the framing stays one object per line.
-  wire::ObjectWriter w;
-  w.field("ok", true);
-  w.field("protocol_version", static_cast<std::int64_t>(kProtocolVersion));
-  w.field("metrics", obs::Registry::global().render_prometheus());
-  return w.done();
-}
-
-}  // namespace
 
 std::string Protocol::handle_line(const std::string& line) {
   KRSP_OBS_SPAN("wire_handle");
@@ -310,7 +306,10 @@ std::string Protocol::handle_line(const std::string& line) {
     form.fetch_add(1, std::memory_order_relaxed);
     resp = handle_solve(*req, service_, catalog_);
   } else if (op == "stats") {
-    resp = handle_stats(service_, solves_v1(), solves_v2());
+    wire::ObjectWriter w;
+    w.field("ok", true);
+    stats_fields(w);
+    resp = w.done();
   } else if (op == "metrics") {
     resp = handle_metrics();
   } else if (op == "topologies") {
@@ -335,123 +334,83 @@ std::string Protocol::handle_line(const std::string& line) {
   return resp;
 }
 
-SocketServer::SocketServer(SolveService& service, std::string socket_path,
-                           const store::TopologyCatalog* catalog)
-    : protocol_(std::in_place, service, catalog),
-      handler_(&*protocol_),
-      path_(std::move(socket_path)) {}
-
-SocketServer::SocketServer(SolveService& service, std::uint16_t tcp_port,
-                           const store::TopologyCatalog* catalog)
-    : protocol_(std::in_place, service, catalog),
-      handler_(&*protocol_),
-      tcp_(true),
-      port_(tcp_port) {}
-
-SocketServer::SocketServer(LineHandler& handler, std::string socket_path)
-    : handler_(&handler), path_(std::move(socket_path)) {}
-
-SocketServer::SocketServer(LineHandler& handler, std::uint16_t tcp_port)
-    : handler_(&handler), tcp_(true), port_(tcp_port) {}
-
 SocketServer::~SocketServer() {
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
-    if (!tcp_) ::unlink(path_.c_str());
+    if (!tcp()) ::unlink(endpoint_.path.c_str());
   }
 }
 
 bool SocketServer::start(std::string* error) {
-  return tcp_ ? start_tcp(error) : start_unix(error);
-}
-
-bool SocketServer::start_unix(std::string* error) {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (path_.size() >= sizeof(addr.sun_path)) {
-    if (error != nullptr)
-      *error = "socket path too long (" + std::to_string(path_.size()) +
-               " >= " + std::to_string(sizeof(addr.sun_path)) + "): " + path_;
+  const std::string& path = endpoint_.path;
+  const auto fail = [&](std::string what) {
+    if (error != nullptr) *error = std::move(what);
+    if (listen_fd_ >= 0) ::close(listen_fd_);
+    listen_fd_ = -1;
     return false;
-  }
-  std::memcpy(addr.sun_path, path_.c_str(), path_.size() + 1);
+  };
 
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr)
-      *error = std::string("socket(): ") + std::strerror(errno);
-    return false;
+  union {
+    sockaddr_in in;
+    sockaddr_un un;
+  } addr{};
+  socklen_t addr_len = 0;
+  if (tcp()) {
+    if (!endpoint_.host.empty())
+      return fail("a TCP listen endpoint takes no host (it listens on every "
+                  "interface): " + endpoint_.describe());
+    addr.in.sin_family = AF_INET;
+    addr.in.sin_addr.s_addr = htonl(INADDR_ANY);
+    addr.in.sin_port = htons(endpoint_.port);
+    addr_len = sizeof addr.in;
+  } else {
+    if (path.size() >= sizeof addr.un.sun_path)
+      return fail("socket path too long (" + std::to_string(path.size()) +
+                  " >= " + std::to_string(sizeof addr.un.sun_path) +
+                  "): " + path);
+    addr.un.sun_family = AF_UNIX;
+    std::memcpy(addr.un.sun_path, path.c_str(), path.size() + 1);
+    addr_len = sizeof addr.un;
   }
-  ::unlink(path_.c_str());  // stale socket from a previous run
+
+  listen_fd_ = ::socket(tcp() ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
+  if (listen_fd_ < 0)
+    return fail(std::string("socket(): ") + std::strerror(errno));
+  if (tcp()) {
+    // SO_REUSEADDR: a restarted daemon must rebind its port without
+    // waiting out the previous incarnation's TIME_WAIT connections.
+    const int one = 1;
+    (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one,
+                       sizeof one);
+  } else {
+    ::unlink(path.c_str());  // stale socket from a previous run
+  }
   if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    if (error != nullptr)
-      *error = "bind(" + path_ + "): " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
+             addr_len) != 0)
+    return fail("bind(" +
+                (tcp() ? "tcp port " + std::to_string(endpoint_.port) : path) +
+                "): " + std::strerror(errno));
   if (::listen(listen_fd_, 64) != 0) {
-    if (error != nullptr)
-      *error = std::string("listen(): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    ::unlink(path_.c_str());
-    return false;
+    std::string what = std::string("listen(): ") + std::strerror(errno);
+    if (!tcp()) ::unlink(path.c_str());
+    return fail(std::move(what));
   }
-  return true;
-}
-
-bool SocketServer::start_tcp(std::string* error) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr)
-      *error = std::string("socket(): ") + std::strerror(errno);
-    return false;
+  if (tcp()) {
+    // Resolve the bound port: with port 0 the kernel picked an ephemeral
+    // one, and callers (tests, fleet_smoke.sh) need to learn it.
+    sockaddr_in bound{};
+    socklen_t len = sizeof bound;
+    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
+                      &len) != 0)
+      return fail(std::string("getsockname(): ") + std::strerror(errno));
+    bound_port_ = ntohs(bound.sin_port);
   }
-  // SO_REUSEADDR: a restarted daemon must rebind its port without waiting
-  // out the previous incarnation's TIME_WAIT connections.
-  const int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_ANY);
-  addr.sin_port = htons(port_);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    if (error != nullptr)
-      *error = "bind(tcp port " + std::to_string(port_) +
-               "): " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    if (error != nullptr)
-      *error = std::string("listen(): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  // Resolve the bound port: with port 0 the kernel picked an ephemeral
-  // one, and callers (tests, fleet_smoke.sh) need to learn it.
-  sockaddr_in bound{};
-  socklen_t len = sizeof(bound);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) !=
-      0) {
-    if (error != nullptr)
-      *error = std::string("getsockname(): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  bound_port_ = ntohs(bound.sin_port);
   return true;
 }
 
 bool SocketServer::stopping() const {
   return stop_.load(std::memory_order_acquire) ||
-         handler_->shutdown_requested();
+         handler_.shutdown_requested();
 }
 
 void SocketServer::serve_forever() {
@@ -465,7 +424,7 @@ void SocketServer::serve_forever() {
     if (rc <= 0 || (pfd.revents & POLLIN) == 0) continue;
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
-    if (tcp_) {
+    if (tcp()) {
       // One request line → one response line: always worth flushing
       // immediately rather than letting Nagle batch against the ACK clock.
       const int one = 1;
@@ -567,7 +526,7 @@ void SocketServer::connection_loop(int fd) {
       start = nl + 1;
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      const std::string response = handler_->handle_line(line) + "\n";
+      const std::string response = handler_.handle_line(line) + "\n";
       int send_err;
       {
         KRSP_OBS_SPAN("transport_write");

@@ -2,19 +2,20 @@
 //
 // Framing: newline-delimited JSON, one object per line in each direction.
 // The protocol logic (parse request → SolveService::serve → serialize
-// response) lives in Protocol, which is transport-agnostic: tests drive
-// it through LocalTransport (no sockets, no threads), and krsp_serve
-// wraps it in SocketServer, a stream-socket listener (Unix domain or
+// response) lives in Protocol, which is transport-agnostic: tests call
+// its handle_line directly (no sockets, no threads), and krsp_serve
+// hands it to SocketServer, a stream-socket listener (Unix domain or
 // TCP — same wire bytes either way) with one thread per connection.
-// krsp_router reuses SocketServer over its own LineHandler to front a
-// fleet of shards.
+// krsp_router hands SocketServer its own LineHandler to front a fleet of
+// shards.
 //
 // Request ops (field "op", default "solve"):
 //   {"op":"solve","id":"tag","instance":"<.kri text>","mode":"scaled",
 //    "eps1":0.25,"eps2":0.25,"guess":"binary","deadline":0.1}
 //   {"op":"solve","id":"tag","topology":"grid64","mode":"scaled",...}
 //                      → protocol v2: graph by catalog id (see below)
-//   {"op":"stats"}     → serving counters (api::ServeStats)
+//   {"op":"stats"}     → serving counters (api::ServeStats; krsp_serve's
+//                        final_stats line carries the same fields)
 //   {"op":"metrics"}   → Prometheus-style text exposition (obs registry:
 //                        per-class latency quantiles, per-op wire
 //                        counters) in a "metrics" string field; v2 only —
@@ -59,12 +60,14 @@
 #include <cstdint>
 #include <list>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "server/fault.h"
 #include "server/service.h"
+#include "server/wire.h"
 #include "store/catalog.h"
 
 namespace krsp::server {
@@ -75,7 +78,7 @@ namespace krsp::server {
 inline constexpr int kProtocolVersion = 2;
 
 /// One newline-framed request line in, one response line out — the
-/// contract every listener (LocalTransport, SocketServer) drives.
+/// contract SocketServer drives.
 /// Protocol implements it over a SolveService; krsp::router::Router
 /// implements it by forwarding to a shard fleet. Implementations must be
 /// thread-safe: transports call handle_line concurrently from any number
@@ -111,55 +114,36 @@ class Protocol final : public LineHandler {
     return shutdown_.load(std::memory_order_acquire);
   }
 
-  /// Solve requests served per wire-protocol form: v1 carried an inline
-  /// "instance", v2 a "topology" reference. Reported in the stats op and
-  /// krsp_serve's final_stats so a fleet rollout can verify v2 adoption
-  /// shard by shard.
-  [[nodiscard]] std::uint64_t solves_v1() const {
-    return solves_v1_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t solves_v2() const {
-    return solves_v2_.load(std::memory_order_relaxed);
-  }
+  /// Writes the stats op's fields into `w` (everything after "ok"):
+  /// protocol version, solves per wire form, the service's counters and
+  /// gauges, worker threads. krsp_serve's final_stats line writes the
+  /// same fields, so the two cannot drift apart.
+  void stats_fields(wire::ObjectWriter& w) const;
 
  private:
   SolveService& service_;
   const store::TopologyCatalog* catalog_;
   std::atomic<bool> shutdown_{false};
+  // Solve requests per wire form: v1 carried an inline "instance", v2 a
+  // "topology" reference, so a fleet rollout can verify v2 adoption shard
+  // by shard.
   std::atomic<std::uint64_t> solves_v1_{0};
   std::atomic<std::uint64_t> solves_v2_{0};
 };
 
-/// In-process transport for tests: the full protocol without sockets.
-class LocalTransport {
- public:
-  explicit LocalTransport(SolveService& service,
-                          const store::TopologyCatalog* catalog = nullptr)
-      : protocol_(service, catalog) {}
-
-  [[nodiscard]] std::string request(const std::string& line) {
-    return protocol_.handle_line(line);
-  }
-  [[nodiscard]] bool shutdown_requested() const {
-    return protocol_.shutdown_requested();
-  }
-
- private:
-  Protocol protocol_;
-};
-
 /// Stream-socket server: accept loop + one thread per connection, over
-/// either a Unix domain socket (path ctors) or TCP (port ctors; the
-/// fleet transport — SO_REUSEADDR, TCP_NODELAY on accepted connections,
-/// port 0 binds an ephemeral port reported by bound_port()). The wire
-/// is byte-identical across both: newline-framed JSON with the same
-/// EINTR/MSG_NOSIGNAL hardening. serve_forever() returns after a
+/// either a Unix domain socket or TCP (the fleet transport —
+/// SO_REUSEADDR, TCP_NODELAY on accepted connections, port 0 binds an
+/// ephemeral port reported by bound_port(); a TCP endpoint listens on
+/// every interface, so its host must be empty).
+/// The wire is byte-identical across both: newline-framed JSON with the
+/// same EINTR/MSG_NOSIGNAL hardening. serve_forever() returns after a
 /// shutdown op (or request_stop), once every connection has closed; the
 /// caller then drains the service.
 ///
-/// The request logic is any LineHandler: the service ctors build an
-/// owned Protocol (krsp_serve), the LineHandler ctors serve an external
-/// handler (krsp_router fronting a shard fleet).
+/// The request logic is any LineHandler, owned by the caller and alive
+/// until serve_forever() returns: a Protocol over a SolveService
+/// (krsp_serve), or a Router fronting a shard fleet (krsp_router).
 ///
 /// Robustness contract for a long-running daemon: responses are written
 /// with MSG_NOSIGNAL so a client that disconnects mid-response yields
@@ -176,12 +160,8 @@ class SocketServer {
   /// Cap on simultaneously-open connections (== connection threads).
   static constexpr std::size_t kMaxConnections = 256;
 
-  SocketServer(SolveService& service, std::string socket_path,
-               const store::TopologyCatalog* catalog = nullptr);
-  SocketServer(SolveService& service, std::uint16_t tcp_port,
-               const store::TopologyCatalog* catalog = nullptr);
-  SocketServer(LineHandler& handler, std::string socket_path);
-  SocketServer(LineHandler& handler, std::uint16_t tcp_port);
+  SocketServer(LineHandler& handler, Endpoint endpoint)
+      : handler_(handler), endpoint_(std::move(endpoint)) {}
   ~SocketServer();
   SocketServer(const SocketServer&) = delete;
   SocketServer& operator=(const SocketServer&) = delete;
@@ -191,16 +171,9 @@ class SocketServer {
   [[nodiscard]] bool start(std::string* error);
 
   /// TCP mode only: the port actually bound (== the requested port, or
-  /// the kernel-assigned one when constructed with port 0). Valid after
+  /// the kernel-assigned one when the endpoint's port is 0). Valid after
   /// start(); 0 in Unix-socket mode.
   [[nodiscard]] std::uint16_t bound_port() const { return bound_port_; }
-
-  /// The owned Protocol when constructed from a SolveService (for its
-  /// solves_v1/solves_v2 counters in final_stats); nullptr when serving
-  /// an external LineHandler.
-  [[nodiscard]] const Protocol* protocol() const {
-    return protocol_.has_value() ? &*protocol_ : nullptr;
-  }
 
   /// Accept/serve until shutdown; joins all connection threads, unlinks
   /// the socket path. Call start() first.
@@ -227,8 +200,9 @@ class SocketServer {
   }
 
  private:
-  [[nodiscard]] bool start_unix(std::string* error);
-  [[nodiscard]] bool start_tcp(std::string* error);
+  [[nodiscard]] bool tcp() const {
+    return endpoint_.kind == Endpoint::Kind::kTcp;
+  }
   void connection_loop(int fd);
   [[nodiscard]] bool stopping() const;
   /// Classifies a send_all() result into the reset/failure counters;
@@ -238,11 +212,8 @@ class SocketServer {
   /// number of threads still live afterwards (the concurrency gauge).
   std::size_t reap_finished();
 
-  std::optional<Protocol> protocol_;  // owned when built from a service
-  LineHandler* handler_;              // always valid; == &*protocol_ if owned
-  std::string path_;                  // empty in TCP mode
-  bool tcp_ = false;
-  std::uint16_t port_ = 0;        // requested TCP port (0 = ephemeral)
+  LineHandler& handler_;
+  const Endpoint endpoint_;
   std::uint16_t bound_port_ = 0;  // resolved by start() in TCP mode
   int listen_fd_ = -1;
   std::atomic<bool> stop_{false};

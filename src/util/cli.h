@@ -8,9 +8,11 @@
 #pragma once
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -70,6 +72,31 @@ class Cli {
     const auto s = get_string(name, "");
     if (s.empty()) return def;
     return parse_number<double>(name, s);
+  }
+
+  /// A number that must be finite and > 0 (a slack such as eps): "nan",
+  /// "inf", zero or a negative value is an error like a malformed one.
+  [[nodiscard]] double get_positive(const std::string& name,
+                                    double def) const {
+    const double value = get_double(name, def);
+    if (!(std::isfinite(value) && value > 0.0))
+      throw CliError("--" + name + "=" + get_string(name, "") +
+                     ": must be finite and > 0");
+    return value;
+  }
+
+  /// An integer in [0, max] (a size or a count): a negative value would
+  /// wrap when the caller casts it to an unsigned type.
+  [[nodiscard]] std::int64_t get_count(
+      const std::string& name, std::int64_t def,
+      std::int64_t max = std::numeric_limits<std::int64_t>::max()) const {
+    const std::int64_t value = get_int(name, def);
+    if (value < 0 || value > max)
+      throw CliError("--" + name + "=" + std::to_string(value) + ": must be " +
+                     (max == std::numeric_limits<std::int64_t>::max()
+                          ? std::string(">= 0")
+                          : "in [0, " + std::to_string(max) + "]"));
+    return value;
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const {

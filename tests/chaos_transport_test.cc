@@ -16,6 +16,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/krsp.h"
@@ -56,7 +57,9 @@ std::string solve_line(const api::Instance& inst, const std::string& id) {
 class ChaosServer {
  public:
   explicit ChaosServer(api::ServerOptions options = {.num_threads = 2})
-      : service_(options), server_(service_, make_path()) {
+      : service_(options),
+        protocol_(service_),
+        server_(protocol_, Endpoint::unix_socket(make_path())) {
     std::string error;
     KRSP_CHECK_MSG(server_.start(&error), "start: " << error);
     accept_thread_ = std::thread([this] { server_.serve_forever(); });
@@ -103,6 +106,7 @@ class ChaosServer {
   }
 
   SolveService service_;
+  Protocol protocol_;
   std::string path_;
   SocketServer server_;
   std::thread accept_thread_;
@@ -228,6 +232,27 @@ TEST(ChaosTransport, OversizeLineGetsOneErrorThenClose) {
   EXPECT_TRUE(pong->get_bool("pong", false));
 }
 
+TEST(ChaosTransport, StartFailuresAreErrorsNotAborts) {
+  // Both address families share one socket/bind/listen path; each way it
+  // can refuse an endpoint is an error string and a false, and the
+  // server stays destructible.
+  SolveService service(api::ServerOptions{.num_threads = 1});
+  Protocol protocol(service);
+  const std::string long_path = "/tmp/" + std::string(200, 'x') + ".sock";
+  const std::pair<Endpoint, std::string> cases[] = {
+      {Endpoint::unix_socket(long_path), "socket path too long"},
+      {Endpoint::unix_socket("/nonexistent-dir/x.sock"),
+       "bind(/nonexistent-dir/x.sock)"},
+      {Endpoint::tcp("127.0.0.1", 0), "takes no host"},
+  };
+  for (const auto& [endpoint, needle] : cases) {
+    SocketServer server(protocol, endpoint);
+    std::string error;
+    EXPECT_FALSE(server.start(&error)) << endpoint.describe();
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  }
+}
+
 // ------------------------------------------ wire-parser property test ---
 
 TEST(ChaosWire, MutatedFramesYieldErrorResponsesNeverCrashes) {
@@ -235,7 +260,7 @@ TEST(ChaosWire, MutatedFramesYieldErrorResponsesNeverCrashes) {
   // always produce a parseable response; unparseable input is never
   // "accepted" (ok:true). ASan/UBSan turn memory bugs into failures.
   SolveService service(api::ServerOptions{.num_threads = 1});
-  LocalTransport transport(service);
+  Protocol protocol(service);
   const std::vector<std::string> seeds = {
       solve_line(small_instance(41), "mut-1"),
       "{\"op\":\"stats\"}",
@@ -260,7 +285,7 @@ TEST(ChaosWire, MutatedFramesYieldErrorResponsesNeverCrashes) {
       line.resize(static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(line.size()))));
 
-    const std::string response_line = transport.request(line);
+    const std::string response_line = protocol.handle_line(line);
     const auto response = wire::parse(response_line);
     ASSERT_TRUE(response.has_value())
         << "unparseable response " << response_line << " for input " << line;
@@ -353,7 +378,8 @@ TEST(ChaosClient, IdempotentRequestsAllEventuallySucceedUnderFaults) {
   faults.seed = 99;
   faults.fault_rate = 0.3;
   faults.stall_ms = 5;
-  ResilientClient client(fixture.path(), retry, faults);
+  ResilientClient client(Endpoint::unix_socket(fixture.path()), retry,
+                         faults);
 
   for (int r = 0; r < 24; ++r) {
     const std::size_t i = static_cast<std::size_t>(r) % pool.size();
@@ -391,7 +417,8 @@ TEST(ChaosClient, NonIdempotentRequestIsNeverRetriedAfterPossibleDelivery) {
   faults.p_truncate = 1.0;  // ...with a mid-frame truncate
   faults.p_garbage = faults.p_stall = faults.p_reset = faults.p_slow_read =
       0.0;
-  ResilientClient client(fixture.path(), retry, faults);
+  ResilientClient client(Endpoint::unix_socket(fixture.path()), retry,
+                         faults);
   std::string response_line;
   std::string error;
   EXPECT_FALSE(client.request(solve_line(small_instance(60), "once"), "once",
@@ -412,7 +439,8 @@ TEST(ChaosClient, RetriesExhaustedReportsGiveUpWithAccounting) {
   faults.p_reset = 1.0;
   faults.p_garbage = faults.p_stall = faults.p_truncate = faults.p_slow_read =
       0.0;
-  ResilientClient client(fixture.path(), retry, faults);
+  ResilientClient client(Endpoint::unix_socket(fixture.path()), retry,
+                         faults);
   std::string response_line;
   std::string error;
   EXPECT_FALSE(client.request("{\"op\":\"ping\"}", "",

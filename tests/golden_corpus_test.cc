@@ -50,5 +50,43 @@ TEST(GoldenCorpus, IspBackboneCancellationMatchesRecordedOutputs) {
   EXPECT_EQ(queries, 64);
 }
 
+// (1+eps1)·D and (2+eps2)·Ĉ saturate instead of wrapping: past 2^63 the
+// plain conversion is undefined, and in practice it turned the limits
+// negative, so every cap guess failed and the phase-1 answer came back.
+// eps1 = 1e16 already allows any delay on this query (cost 75, delay
+// 142 against 77/137 at the default eps), so every larger eps1 must give
+// the same answer, and likewise for eps2.
+TEST(GoldenCorpus, HugeEpsilonSaturatesInsteadOfWrapping) {
+  api::SolveRequest request;
+  request.instance =
+      store::CsrContainer::open(KRSP_DATA_DIR "/corpus/isp-backbone.krspb")
+          .instance();
+  request.instance.s = 85;
+  request.instance.t = 236;
+  request.instance.k = 2;
+  request.instance.delay_bound = 137;
+  const auto solve = [&](double eps1, double eps2) {
+    api::SolveRequest r = request;
+    r.eps1 = eps1;
+    r.eps2 = eps2;
+    return api::Solver::solve(r);
+  };
+  const auto expect_same = [](const api::SolveResult& a,
+                              const api::SolveResult& b, const char* what) {
+    EXPECT_EQ(a.status, b.status) << what;
+    EXPECT_EQ(a.cost, b.cost) << what;
+    EXPECT_EQ(a.delay, b.delay) << what;
+    EXPECT_EQ(a.paths.paths(), b.paths.paths()) << what;
+    EXPECT_EQ(a.telemetry.cost_guess_used, b.telemetry.cost_guess_used)
+        << what;
+  };
+  const api::SolveResult loose1 = solve(1e16, 0.25);
+  EXPECT_EQ(loose1.cost, 75);
+  EXPECT_EQ(loose1.delay, 142);
+  expect_same(solve(1e17, 0.25), loose1, "eps1 = 1e17");
+  expect_same(solve(1e300, 0.25), loose1, "eps1 = 1e300");
+  expect_same(solve(0.25, 1e300), solve(0.25, 1e16), "eps2 = 1e300");
+}
+
 }  // namespace
 }  // namespace krsp

@@ -263,8 +263,7 @@ TEST_F(ObsTracerTest, DisabledRecordsNothing) {
 TEST_F(ObsTracerTest, CapturesNamedSpansWithSaneTimestamps) {
   Tracer::global().enable();
   {
-    // Direct Span objects (not the macros): the class keeps working in
-    // KRSP_OBS=OFF builds, so these semantics tests hold there too.
+    // Direct Span objects (not the macros).
     const Span outer("obs_test_outer");
     const Span inner("obs_test_inner");
   }
@@ -372,12 +371,10 @@ TEST_F(ObsTracerTest, SolveResultsBitIdenticalOnVsOff) {
     EXPECT_EQ(off.delay, on.delay);
     EXPECT_EQ(off.paths.paths(), on.paths.paths());
     EXPECT_EQ(off.telemetry.cost_guess_used, on.telemetry.cost_guess_used);
-#if !defined(KRSP_OBS_DISABLED)
     if (off.status == api::SolveStatus::kOptimal ||
         off.status == api::SolveStatus::kApprox) {
       EXPECT_FALSE(Tracer::global().snapshot().empty());
     }
-#endif
     Tracer::global().clear();
   }
 }

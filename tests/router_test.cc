@@ -83,7 +83,8 @@ class TestShard {
                      api::ServerOptions options = {.num_threads = 1})
       : path_(std::move(path)),
         service_(options),
-        server_(service_, path_, catalog) {
+        protocol_(service_, catalog),
+        server_(protocol_, endpoint()) {
     std::string error;
     KRSP_CHECK_MSG(server_.start(&error), "start: " << error);
     accept_thread_ = std::thread([this] { server_.serve_forever(); });
@@ -103,6 +104,7 @@ class TestShard {
  private:
   std::string path_;
   server::SolveService service_;
+  server::Protocol protocol_;
   server::SocketServer server_;
   std::thread accept_thread_;
 };
@@ -129,14 +131,14 @@ TEST(RouterTest, RoutedSolveIsBitIdenticalToDirectAndNamesItsShard) {
 
   // Direct oracle from a *fresh* service so no cache crosses the sides.
   server::SolveService direct_service(api::ServerOptions{.num_threads = 1});
-  server::LocalTransport direct(direct_service);
+  server::Protocol direct(direct_service);
 
   for (std::uint64_t seed : {201, 202, 203}) {
     const api::Instance inst = small_instance(seed);
     const std::string line =
         inline_line(inst, "ident-" + std::to_string(seed));
     const std::string routed = router.handle_line(line);
-    const std::string expected = direct.request(line);
+    const std::string expected = direct.handle_line(line);
     EXPECT_EQ(strip_variable(routed), strip_variable(expected));
     const auto parsed = server::wire::parse(routed);
     ASSERT_TRUE(parsed.has_value());
@@ -423,8 +425,8 @@ TEST(RouterTest, TopologyDiscoveryIsForwardedToAShard) {
 
 TEST(RouterTcp, TcpShardServesTheSameWireAsUnix) {
   server::SolveService service(api::ServerOptions{.num_threads = 1});
-  server::SocketServer tcp_server(service, static_cast<std::uint16_t>(0),
-                                  nullptr);
+  server::Protocol protocol(service);
+  server::SocketServer tcp_server(protocol, server::Endpoint::tcp("", 0));
   std::string error;
   ASSERT_TRUE(tcp_server.start(&error)) << error;
   ASSERT_GT(tcp_server.bound_port(), 0);
@@ -443,11 +445,11 @@ TEST(RouterTcp, TcpShardServesTheSameWireAsUnix) {
 
   // A routed solve over TCP is bit-identical to the direct solve.
   server::SolveService direct_service(api::ServerOptions{.num_threads = 1});
-  server::LocalTransport direct(direct_service);
+  server::Protocol direct(direct_service);
   Router router({ep}, nullptr, manual_probe_options());
   const std::string line = inline_line(small_instance(470), "tcp-1");
   const std::string routed = router.handle_line(line);
-  EXPECT_EQ(strip_variable(routed), strip_variable(direct.request(line)));
+  EXPECT_EQ(strip_variable(routed), strip_variable(direct.handle_line(line)));
   const auto parsed = server::wire::parse(routed);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(parsed->get_string("served_by"), ep.describe());

@@ -1,6 +1,6 @@
 // The serving stack: wire format, result-cache correctness (fingerprint
 // sensitivity + bit-identical hits), admission-control rules, the solve
-// service end to end, and the newline-JSON protocol over LocalTransport.
+// service end to end, and the newline-JSON protocol through Protocol.
 // The concurrency tests double as the TSan leg's server coverage.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "api/krsp.h"
+#include "graph/generators.h"
 #include "server/admission.h"
 #include "server/result_cache.h"
 #include "server/service.h"
@@ -243,9 +244,8 @@ TEST(ServerCache, PrimaryKeyCollisionIsAMissNotAWrongResult) {
 // ---------------------------------------------------------- admission ---
 
 TEST(ServerAdmission, QueueFullRuleIsExactAndReleases) {
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 2;
-  opt.deadline_aware = false;
   AdmissionController ctl(opt, /*workers=*/1);
   EXPECT_EQ(ctl.admit(0.0), AdmitDecision::kAdmit);
   EXPECT_EQ(ctl.admit(0.0), AdmitDecision::kAdmit);
@@ -261,10 +261,12 @@ TEST(ServerAdmission, QueueFullRuleIsExactAndReleases) {
 }
 
 TEST(ServerAdmission, DeadlineRuleUsesPredictedQueueWait) {
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 100;
-  opt.service_time_prior_seconds = 1.0;  // deterministic EWMA for the test
   AdmissionController ctl(opt, /*workers=*/1);
+  // One completion seeds the EWMA at 1s, deterministic for the test.
+  ASSERT_EQ(ctl.admit(0.0), AdmitDecision::kAdmit);
+  ctl.on_complete(1.0);
 
   // Empty service: predicted wait 0, any deadline passes.
   EXPECT_EQ(ctl.admit(0.05), AdmitDecision::kAdmit);
@@ -277,15 +279,15 @@ TEST(ServerAdmission, DeadlineRuleUsesPredictedQueueWait) {
   EXPECT_EQ(ctl.admit(10.0), AdmitDecision::kAdmit);
 
   const auto snap = ctl.snapshot();
-  EXPECT_EQ(snap.admitted, 3u);
+  EXPECT_EQ(snap.admitted, 4u);  // the seeding admit, then three
   EXPECT_EQ(snap.rejected_deadline, 1u);
   EXPECT_DOUBLE_EQ(snap.ewma_service_seconds, 1.0);
 }
 
 TEST(ServerAdmission, ZeroPriorIsOptimisticUntilFirstSampleSeedsEwma) {
-  // With no prior (the default), the EWMA starts at 0: predicted wait is
-  // 0 no matter the queue depth, so even microscopic deadlines admit.
-  AdmissionOptions opt;
+  // With no completion yet, the EWMA is 0: predicted wait is 0 no matter
+  // the queue depth, so even microscopic deadlines admit.
+  api::ServerOptions opt;
   opt.max_pending = 100;
   AdmissionController ctl(opt, /*workers=*/1);
   EXPECT_EQ(ctl.admit(1e-6), AdmitDecision::kAdmit);
@@ -293,7 +295,7 @@ TEST(ServerAdmission, ZeroPriorIsOptimisticUntilFirstSampleSeedsEwma) {
   EXPECT_DOUBLE_EQ(ctl.predicted_wait_seconds(), 0.0);
 
   // The first observed completion SEEDS the EWMA (no alpha blend against
-  // the zero prior, which would take ~1/alpha samples to mean anything).
+  // the empty 0, which would take ~1/alpha samples to mean anything).
   ctl.on_complete(2.0);
   EXPECT_DOUBLE_EQ(ctl.snapshot().ewma_service_seconds, 2.0);
   // One still pending on one worker: predicted wait is now a full EWMA.
@@ -304,10 +306,11 @@ TEST(ServerAdmission, ZeroPriorIsOptimisticUntilFirstSampleSeedsEwma) {
 TEST(ServerAdmission, DeadlineExactlyEqualToPredictedWaitRejects) {
   // The rule is predicted >= deadline: a request whose whole budget would
   // burn in the queue has nothing left to solve with, so equality rejects.
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 100;
-  opt.service_time_prior_seconds = 1.0;
   AdmissionController ctl(opt, /*workers=*/1);
+  ASSERT_EQ(ctl.admit(0.0), AdmitDecision::kAdmit);
+  ctl.on_complete(1.0);  // seeds the EWMA at 1s
   ASSERT_EQ(ctl.admit(0.0), AdmitDecision::kAdmit);
   ASSERT_DOUBLE_EQ(ctl.predicted_wait_seconds(), 1.0);
   EXPECT_EQ(ctl.admit(1.0), AdmitDecision::kRejectDeadline);
@@ -318,9 +321,8 @@ TEST(ServerAdmission, ConcurrentAdmitCompleteKeepsCountersConsistent) {
   // TSan-leg coverage: admits and completions race from many threads;
   // the counters must stay exact (every admit paired, pending back to 0,
   // per-class totals summing to the global total).
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 0;  // no cap: every admit must succeed
-  opt.deadline_aware = false;
   AdmissionController ctl(opt, /*workers=*/2);
 
   constexpr int kThreads = 6;
@@ -355,10 +357,9 @@ TEST(ServerAdmission, ConcurrentAdmitCompleteKeepsCountersConsistent) {
 }
 
 TEST(ServerAdmission, BatchBudgetShedsBatchWhileInteractiveAdmits) {
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 4;
   opt.max_pending_batch = 2;
-  opt.deadline_aware = false;
   AdmissionController ctl(opt, /*workers=*/1);
   EXPECT_EQ(ctl.admit(0.0, api::SlaClass::kBatch), AdmitDecision::kAdmit);
   EXPECT_EQ(ctl.admit(0.0, api::SlaClass::kBatch), AdmitDecision::kAdmit);
@@ -384,12 +385,13 @@ TEST(ServerAdmission, BatchBudgetShedsBatchWhileInteractiveAdmits) {
 }
 
 TEST(ServerAdmission, InteractiveOverloadDegradesInsteadOfQueueing) {
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 100;
-  opt.deadline_aware = false;
-  opt.service_time_prior_seconds = 1.0;
   opt.degrade_wait_seconds = 0.5;
   AdmissionController ctl(opt, /*workers=*/1);
+  // One batch completion seeds the EWMA at 1s.
+  ASSERT_EQ(ctl.admit(0.0, api::SlaClass::kBatch), AdmitDecision::kAdmit);
+  ctl.on_complete(1.0, api::SlaClass::kBatch);
   // Idle server: a full-accuracy interactive admit (its own wait is 0).
   EXPECT_EQ(ctl.admit(0.0, api::SlaClass::kInteractive),
             AdmitDecision::kAdmit);
@@ -413,10 +415,8 @@ TEST(ServerAdmission, InteractiveOverloadDegradesInsteadOfQueueing) {
 }
 
 TEST(ServerAdmission, PerClassEwmaTracksItsOwnClass) {
-  AdmissionOptions opt;
+  api::ServerOptions opt;
   opt.max_pending = 0;
-  opt.deadline_aware = false;
-  opt.ewma_alpha = 0.5;
   AdmissionController ctl(opt, /*workers=*/1);
   ASSERT_EQ(ctl.admit(0.0, api::SlaClass::kInteractive),
             AdmitDecision::kAdmit);
@@ -427,8 +427,9 @@ TEST(ServerAdmission, PerClassEwmaTracksItsOwnClass) {
   // First sample per class seeds that class's EWMA exactly.
   EXPECT_DOUBLE_EQ(snap.interactive.ewma_service_seconds, 0.1);
   EXPECT_DOUBLE_EQ(snap.batch.ewma_service_seconds, 10.0);
-  // The global EWMA blends: seeded by 0.1, then 0.5-blended with 10.
-  EXPECT_DOUBLE_EQ(snap.ewma_service_seconds, 0.5 * 10.0 + 0.5 * 0.1);
+  // The global EWMA blends: seeded by 0.1, then alpha-blended with 10.
+  EXPECT_DOUBLE_EQ(AdmissionController::kEwmaAlpha, 0.15);
+  EXPECT_DOUBLE_EQ(snap.ewma_service_seconds, 0.15 * 10.0 + 0.85 * 0.1);
 }
 
 // ------------------------------------------------------------ service ---
@@ -471,7 +472,6 @@ TEST(ServerService, DeadlineBoundedRequestsBypassTheCache) {
   api::ServerOptions opt;
   opt.num_threads = 1;
   opt.cache_capacity = 16;
-  opt.deadline_aware_admission = false;  // this test is about caching only
   SolveService service(opt);
   auto req = make_request(42);
   req.deadline_seconds = 30.0;  // roomy: result is still the full solve
@@ -482,6 +482,76 @@ TEST(ServerService, DeadlineBoundedRequestsBypassTheCache) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_FALSE(second.cache_hit);
   EXPECT_EQ(service.stats().cache_insertions, 0u);
+}
+
+/// A seeded ER instance with weights up to 1000: heavy enough that scaled
+/// mode really scales, so eps and the cap-search strategy move the result.
+api::Instance heavy_instance(std::uint64_t seed, int n, double p,
+                             double slack) {
+  util::Rng rng(seed);
+  api::RandomInstanceOptions opt;
+  opt.k = 2;
+  opt.delay_slack = slack;
+  gen::WeightRange w;
+  w.cost_max = 1000;
+  w.delay_max = 1000;
+  const auto inst = api::random_er_instance(rng, n, p, opt, w);
+  KRSP_CHECK_MSG(inst.has_value(), "seed " << seed << " drew no instance");
+  return *inst;
+}
+
+TEST(ServerService, DegradedInteractiveAdmitSolvesTheCoarsenedRequest) {
+  // One worker, the EWMA seeded by one completion and a tiny degrade
+  // threshold: with the worker busy, an interactive request's predicted
+  // wait crosses the threshold and the overload ladder serves it coarsened
+  // (eps doubled, capped at 1; doubling cap search). On this instance each
+  // of those three changes moves the answer.
+  api::ServerOptions opt;
+  opt.num_threads = 1;
+  opt.cache_capacity = 0;
+  opt.degrade_wait_seconds = 1e-9;
+  SolveService service(opt);
+  ASSERT_TRUE(service.serve(make_request(5)).served());
+
+  api::SolveRequest req;
+  req.instance = heavy_instance(365, 12, 0.35, 0.25);
+  req.eps1 = 0.3;
+  req.eps2 = 0.75;
+  req.sla = api::SlaClass::kInteractive;
+  api::SolveRequest coarse = req;
+  coarse.eps1 = 0.6;
+  coarse.eps2 = 1.0;
+  coarse.guess = api::GuessStrategy::kDoubling;
+  const api::SolveResult expected = api::Solver::solve(coarse);
+
+  // Busy: a solve that runs until its deadline. The interactive request
+  // goes in once the busy one is admitted; should the busy one finish
+  // first anyway, the attempt is repeated.
+  api::SolveRequest busy = req;
+  busy.instance = heavy_instance(7, 40, 0.3, 0.1);
+  busy.mode = api::Mode::kExactWeights;
+  busy.sla = api::SlaClass::kBatch;
+  busy.deadline_seconds = 0.25;
+  bool degraded = false;
+  for (int attempt = 0; attempt < 5 && !degraded; ++attempt) {
+    std::atomic<bool> busy_done{false};
+    std::thread worker([&] {
+      (void)service.serve(busy);
+      busy_done = true;
+    });
+    while (service.stats().pending == 0 && !busy_done)
+      std::this_thread::yield();
+    const ServeResponse resp = service.serve(req);
+    worker.join();
+    ASSERT_TRUE(resp.served());
+    degraded = resp.degraded;
+    if (!degraded) continue;
+    expect_identical(resp.result, expected, "degraded admit");
+    EXPECT_EQ(resp.result.telemetry.guess_attempts,
+              expected.telemetry.guess_attempts);
+  }
+  EXPECT_TRUE(degraded);
+  EXPECT_GE(service.stats().interactive.degraded, 1u);
 }
 
 TEST(ServerService, DrainStopsAdmissionsButAnswersInFlight) {
@@ -552,7 +622,7 @@ std::string solve_line(const api::Instance& inst, const std::string& id,
 
 TEST(ServerProtocol, SolveRoundTripMatchesDirectSolve) {
   SolveService service(api::ServerOptions{.num_threads = 2});
-  LocalTransport transport(service);
+  Protocol protocol(service);
 
   const auto inst = random_instance(55);
   api::SolveRequest req;
@@ -561,7 +631,7 @@ TEST(ServerProtocol, SolveRoundTripMatchesDirectSolve) {
   const auto direct = api::Solver::solve(req);
   ASSERT_TRUE(direct.has_paths());
 
-  const auto resp = wire::parse(transport.request(solve_line(inst, "rt-1")));
+  const auto resp = wire::parse(protocol.handle_line(solve_line(inst, "rt-1")));
   ASSERT_TRUE(resp.has_value());
   EXPECT_EQ(resp->get_string("id"), "rt-1");
   EXPECT_TRUE(resp->get_bool("ok", false));
@@ -582,12 +652,12 @@ TEST(ServerProtocol, SolveRoundTripMatchesDirectSolve) {
 
 TEST(ServerProtocol, MalformedAndUnknownInputsGetErrorResponses) {
   SolveService service(api::ServerOptions{.num_threads = 1});
-  LocalTransport transport(service);
+  Protocol protocol(service);
   for (const char* bad :
        {"not json", "[1,2,3]", "{\"op\":\"nope\"}",
         "{\"op\":\"solve\"}",  // missing instance
         "{\"op\":\"solve\",\"instance\":\"garbage text\"}"}) {
-    const auto resp = wire::parse(transport.request(bad));
+    const auto resp = wire::parse(protocol.handle_line(bad));
     ASSERT_TRUE(resp.has_value()) << bad;
     EXPECT_FALSE(resp->get_bool("ok", true)) << bad;
     EXPECT_FALSE(resp->get_string("error").empty()) << bad;
@@ -598,7 +668,7 @@ TEST(ServerProtocol, MalformedAndUnknownInputsGetErrorResponses) {
 
 TEST(ServerProtocol, SlaClassIsParsedEchoedAndCounted) {
   SolveService service(api::ServerOptions{.num_threads = 1});
-  LocalTransport transport(service);
+  Protocol protocol(service);
   const auto inst = random_instance(57);
   std::ostringstream kri;
   api::write_instance(kri, inst);
@@ -612,23 +682,24 @@ TEST(ServerProtocol, SlaClassIsParsedEchoedAndCounted) {
         .field("class", cls)
         .done();
   };
-  const auto inter = wire::parse(transport.request(line("interactive", "i")));
+  const auto inter =
+      wire::parse(protocol.handle_line(line("interactive", "i")));
   ASSERT_TRUE(inter.has_value());
   EXPECT_TRUE(inter->get_bool("served", false));
   EXPECT_EQ(inter->get_string("sla"), "interactive");
-  const auto batch = wire::parse(transport.request(line("batch", "b")));
+  const auto batch = wire::parse(protocol.handle_line(line("batch", "b")));
   EXPECT_EQ(batch->get_string("sla"), "batch");
   // Absent class defaults to batch; a cache hit keeps the response's own
   // class (the hit re-serves cached bytes under this request's SLA).
   const auto dflt =
-      wire::parse(transport.request(solve_line(inst, "d", "exact")));
+      wire::parse(protocol.handle_line(solve_line(inst, "d", "exact")));
   EXPECT_EQ(dflt->get_string("sla"), "batch");
   EXPECT_TRUE(dflt->get_bool("cache_hit", false));
 
-  const auto bad = wire::parse(transport.request(line("premium", "x")));
+  const auto bad = wire::parse(protocol.handle_line(line("premium", "x")));
   EXPECT_FALSE(bad->get_bool("ok", true));
 
-  const auto stats = wire::parse(transport.request(R"({"op":"stats"})"));
+  const auto stats = wire::parse(protocol.handle_line(R"({"op":"stats"})"));
   ASSERT_TRUE(stats.has_value());
   // Interactive solved once; the batch-class requests were one miss (the
   // explicit batch solve shares the interactive solve's fingerprint and
@@ -643,25 +714,25 @@ TEST(ServerProtocol, SlaClassIsParsedEchoedAndCounted) {
 
 TEST(ServerProtocol, StatsPingAndShutdownOps) {
   SolveService service(api::ServerOptions{.num_threads = 1});
-  LocalTransport transport(service);
+  Protocol protocol(service);
   const auto inst = random_instance(56);
-  ASSERT_TRUE(wire::parse(transport.request(solve_line(inst, "s-1")))
+  ASSERT_TRUE(wire::parse(protocol.handle_line(solve_line(inst, "s-1")))
                   ->get_bool("served", false));
 
-  const auto pong = wire::parse(transport.request(R"({"op":"ping"})"));
+  const auto pong = wire::parse(protocol.handle_line(R"({"op":"ping"})"));
   EXPECT_TRUE(pong->get_bool("pong", false));
 
-  const auto stats = wire::parse(transport.request(R"({"op":"stats"})"));
+  const auto stats = wire::parse(protocol.handle_line(R"({"op":"stats"})"));
   ASSERT_TRUE(stats.has_value());
   EXPECT_TRUE(stats->get_bool("ok", false));
   EXPECT_EQ(stats->get_int("received", -1), 1);
   EXPECT_EQ(stats->get_int("served", -1), 1);
   EXPECT_EQ(stats->get_int("threads", -1), 1);
 
-  EXPECT_FALSE(transport.shutdown_requested());
-  const auto bye = wire::parse(transport.request(R"({"op":"shutdown"})"));
+  EXPECT_FALSE(protocol.shutdown_requested());
+  const auto bye = wire::parse(protocol.handle_line(R"({"op":"shutdown"})"));
   EXPECT_TRUE(bye->get_bool("draining", false));
-  EXPECT_TRUE(transport.shutdown_requested());
+  EXPECT_TRUE(protocol.shutdown_requested());
 }
 
 }  // namespace

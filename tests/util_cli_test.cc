@@ -61,6 +61,24 @@ TEST(Cli, MalformedNumbersThrow) {
   EXPECT_THROW((void)cli.get_int("big", 0), CliError);
 }
 
+TEST(Cli, PositiveRejectsNanInfZeroAndNegative) {
+  const auto cli = make({"--a=nan", "--b=inf", "--c=0", "--d=-1", "--e=1e300"});
+  for (const char* name : {"a", "b", "c", "d"})
+    EXPECT_THROW((void)cli.get_positive(name, 1.0), CliError) << name;
+  EXPECT_DOUBLE_EQ(cli.get_positive("e", 1.0), 1e300);
+  EXPECT_DOUBLE_EQ(cli.get_positive("absent", 0.25), 0.25);
+}
+
+TEST(Cli, CountRejectsNegativeAndOversizedValues) {
+  const auto cli = make({"--a=-1", "--b=3000000000", "--c=0", "--d=5"});
+  EXPECT_THROW((void)cli.get_count("a", 1), CliError);
+  EXPECT_THROW((void)cli.get_count("b", 1, 2147483647), CliError);
+  EXPECT_EQ(cli.get_count("b", 1), 3000000000);
+  EXPECT_EQ(cli.get_count("c", 1), 0);
+  EXPECT_EQ(cli.get_count("d", 1, 5), 5);
+  EXPECT_EQ(cli.get_count("absent", 7), 7);
+}
+
 TEST(Cli, RunToolTurnsCliErrorsIntoExitTwo) {
   EXPECT_EQ(run_tool("usage: prog", [] { return 7; }), 7);
   EXPECT_EQ(run_tool("usage: prog",

@@ -66,9 +66,9 @@ int run(int argc, char** argv) {
   const int repeat = cli.get_int("repeat", 1);
   const int threads = cli.get_int("threads", 0);
   const std::string mode = cli.get_string("mode", "scaled");
-  const double eps = cli.get_double("eps", 0.25);  // back-compat alias
-  const double eps1 = cli.get_double("eps1", eps);
-  const double eps2 = cli.get_double("eps2", eps);
+  const double eps = cli.get_positive("eps", 0.25);  // back-compat alias
+  const double eps1 = cli.get_positive("eps1", eps);
+  const double eps2 = cli.get_positive("eps2", eps);
   const double deadline = cli.get_double("deadline", 0.0);
   const std::string guess = cli.get_string("guess", "binary");
   const std::string trace_out = cli.get_string("trace-out", "");

@@ -156,8 +156,8 @@ int run(int argc, char** argv) {
   const std::string topology = cli.get_string("topology", "");
   const std::string catalog_dir = cli.get_string("catalog", "");
   const std::string mode = cli.get_string("mode", "exact");
-  const double eps1 = cli.get_double("eps1", 0.25);
-  const double eps2 = cli.get_double("eps2", 0.25);
+  const double eps1 = cli.get_positive("eps1", 0.25);
+  const double eps2 = cli.get_positive("eps2", 0.25);
   const double deadline = cli.get_double("deadline", 0.0);
   const std::string sla_class = cli.get_string("class", "batch");
   const int retries = static_cast<int>(cli.get_int("retries", 0));
@@ -190,7 +190,7 @@ int run(int argc, char** argv) {
     std::cerr << "unknown --mode: " << mode << "\n";
     return 2;
   }
-  if (sla_class != "interactive" && sla_class != "batch") {
+  if (!api::parse_sla_class(sla_class)) {
     std::cerr << "unknown --class: " << sla_class << "\n";
     return 2;
   }

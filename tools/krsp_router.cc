@@ -28,11 +28,13 @@
 // Like krsp_serve, --tcp=0 announces its kernel-picked port as
 //   {"event":"listening","transport":"tcp","port":NNNN}
 // and SIGTERM/SIGINT (or a shutdown op) begins a graceful drain, ending
-// with one {"event":"final_stats",...} line on stdout.
+// with one {"event":"final_stats",...} line on stdout: every field of the
+// router's stats op (the same writer produces both: ring membership,
+// per-shard health, ring shares and forward counters) plus the
+// transport's connections, peer_resets and send_failures.
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <vector>
 
@@ -105,15 +107,10 @@ int run(int argc, char** argv) {
 
   router::Router router(endpoints, catalog.empty() ? nullptr : &catalog,
                         options);
-  std::optional<server::SocketServer> server_storage;
-  if (use_tcp) {
-    server_storage.emplace(static_cast<server::LineHandler&>(router),
-                           static_cast<std::uint16_t>(tcp_port));
-  } else {
-    server_storage.emplace(static_cast<server::LineHandler&>(router),
-                           socket_path);
-  }
-  server::SocketServer& socket_server = *server_storage;
+  server::SocketServer socket_server(
+      router,
+      use_tcp ? server::Endpoint::tcp("", static_cast<std::uint16_t>(tcp_port))
+              : server::Endpoint::unix_socket(socket_path));
   std::string error;
   if (!socket_server.start(&error)) {
     std::cerr << "krsp_router: " << error << "\n";
@@ -152,29 +149,7 @@ int run(int argc, char** argv) {
   {
     server::wire::ObjectWriter w;
     w.field("event", "final_stats");
-    w.field("router", true);
-    w.field("protocol_version",
-            static_cast<std::int64_t>(server::kProtocolVersion));
-    w.field("shards", static_cast<std::int64_t>(router.num_shards()));
-    w.field("requests_routed", router.requests_routed());
-    w.field("no_shard_errors", router.no_shard_errors());
-    std::string arr = "[";
-    for (std::size_t i = 0; i < router.num_shards(); ++i) {
-      if (i != 0) arr.push_back(',');
-      const router::Shard& shard = router.shard(i);
-      server::wire::ObjectWriter entry;
-      entry.field("name", shard.name());
-      entry.field("state", router::shard_state_name(shard.state()));
-      entry.field("forwards_ok", shard.forwards_ok());
-      entry.field("forwards_failed", shard.forwards_failed());
-      entry.field("forwards_refused", shard.forwards_refused());
-      entry.field("probes_ok", shard.probes_ok());
-      entry.field("probes_failed", shard.probes_failed());
-      entry.field("recoveries", shard.recoveries());
-      arr += entry.done();
-    }
-    arr.push_back(']');
-    w.raw("shard_stats", arr);
+    router.stats_fields(w);
     w.field("connections", socket_server.connections_accepted());
     w.field("peer_resets", socket_server.peer_resets());
     w.field("send_failures", socket_server.send_failures());

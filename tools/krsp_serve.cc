@@ -2,11 +2,13 @@
 //
 //   $ krsp_serve --socket=/tmp/krsp.sock [--catalog=DIR] [--threads=0]
 //                [--max-pending=256] [--max-pending-batch=0]
-//                [--degrade-wait=0] [--overload-eps-factor=2]
-//                [--overload-eps-cap=1] [--cache-capacity=1024]
-//                [--cache-shards=8] [--no-cache] [--no-deadline-admission]
-//                [--trace-out=FILE] [--trace-sample=1] [--quiet]
+//                [--degrade-wait=0] [--cache-capacity=1024]
+//                [--cache-shards=8] [--trace-out=FILE] [--trace-sample=1]
+//                [--quiet]
 //   $ krsp_serve --tcp=4701 [...]          # TCP listener instead
+//
+// Each tuning flag sets one api::ServerOptions field (--cache-capacity=0
+// turns the result cache off); a negative count is a usage error.
 //
 // --tcp=PORT listens on TCP instead of a Unix socket (the fleet-shard
 // transport behind krsp_router; same wire bytes either way). --tcp=0
@@ -36,19 +38,24 @@
 // a client sends {"op":"shutdown"} or it receives SIGINT/SIGTERM, then
 // drains gracefully: no new work is admitted, every in-flight solve
 // finishes and is answered, and a final structured stats line —
-//   {"event":"final_stats","received":...,"interactive_admitted":...,...}
+//   {"event":"final_stats","protocol_version":2,"solves_v1":...,...}
 // — is emitted on stdout (always, even with --quiet) so supervisors and
-// the chaos harness can scrape the terminal accounting of the run.
+// the chaos harness can scrape the terminal accounting of the run. It
+// carries every field of the stats op (the same writer produces both)
+// plus catalog_topologies and the transport's connections, peer_resets
+// and send_failures.
 //
 // SLA tiering: --max-pending-batch caps the batch class below the global
 // --max-pending (0 = batch may use the whole queue); --degrade-wait > 0
 // arms the interactive overload ladder (predicted waits at or above it
-// serve coarsened-eps / doubling-guess solves instead of rejecting).
+// serve solves with eps doubled up to 1 and the doubling cap search
+// instead of rejecting). A deadline-bounded request whose predicted
+// queue wait already exhausts its deadline is always rejected up front.
 #include <algorithm>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
-#include <optional>
+#include <limits>
 
 #include "obs/export.h"
 #include "obs/trace.h"
@@ -62,25 +69,14 @@ namespace {
 constexpr char kUsage[] =
     "usage: krsp_serve --socket=<path>|--tcp=<port> [--catalog=<dir>] "
     "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
-    "[--degrade-wait=0] [--overload-eps-factor=2] [--overload-eps-cap=1] "
-    "[--cache-capacity=1024] [--cache-shards=8] [--no-cache] "
-    "[--no-deadline-admission] [--trace-out=FILE] "
-    "[--trace-sample=1] [--quiet]  (exactly one of --socket / --tcp)";
+    "[--degrade-wait=0] [--cache-capacity=1024] [--cache-shards=8] "
+    "[--trace-out=FILE] [--trace-sample=1] [--quiet]  (exactly one of "
+    "--socket / --tcp; counts are >= 0)";
 
 krsp::server::SocketServer* g_server = nullptr;
 
 void on_signal(int) {
   if (g_server != nullptr) g_server->request_stop();
-}
-
-void class_stats_fields(krsp::server::wire::ObjectWriter& w,
-                        const char* prefix,
-                        const krsp::api::SlaClassStats& cs) {
-  const std::string p(prefix);
-  w.field(p + "_admitted", cs.admitted);
-  w.field(p + "_rejected_queue_full", cs.rejected_queue_full);
-  w.field(p + "_rejected_deadline", cs.rejected_deadline);
-  w.field(p + "_degraded", cs.degraded);
 }
 
 int run(int argc, char** argv) {
@@ -92,18 +88,14 @@ int run(int argc, char** argv) {
   api::ServerOptions options;
   options.num_threads = static_cast<int>(cli.get_int("threads", 0));
   options.max_pending =
-      static_cast<std::size_t>(cli.get_int("max-pending", 256));
+      static_cast<std::size_t>(cli.get_count("max-pending", 256));
   options.max_pending_batch =
-      static_cast<std::size_t>(cli.get_int("max-pending-batch", 0));
+      static_cast<std::size_t>(cli.get_count("max-pending-batch", 0));
   options.degrade_wait_seconds = cli.get_double("degrade-wait", 0.0);
-  options.overload_eps_factor = cli.get_double("overload-eps-factor", 2.0);
-  options.overload_eps_cap = cli.get_double("overload-eps-cap", 1.0);
   options.cache_capacity =
-      static_cast<std::size_t>(cli.get_int("cache-capacity", 1024));
-  options.cache_shards = static_cast<int>(cli.get_int("cache-shards", 8));
-  if (cli.get_bool("no-cache", false)) options.cache_capacity = 0;
-  options.deadline_aware_admission =
-      !cli.get_bool("no-deadline-admission", false);
+      static_cast<std::size_t>(cli.get_count("cache-capacity", 1024));
+  options.cache_shards = static_cast<int>(
+      cli.get_count("cache-shards", 8, std::numeric_limits<int>::max()));
   const std::string trace_out = cli.get_string("trace-out", "");
   const auto trace_sample = cli.get_int("trace-sample", 1);
   const bool quiet = cli.get_bool("quiet", false);
@@ -134,16 +126,11 @@ int run(int argc, char** argv) {
   }
 
   server::SolveService service(options);
-  // optional<> because SocketServer is neither copyable nor movable and
-  // the ctor form depends on the transport flag.
-  std::optional<server::SocketServer> server_storage;
-  if (use_tcp) {
-    server_storage.emplace(service, static_cast<std::uint16_t>(tcp_port),
-                           &catalog);
-  } else {
-    server_storage.emplace(service, socket_path, &catalog);
-  }
-  server::SocketServer& socket_server = *server_storage;
+  server::Protocol protocol(service, &catalog);
+  server::SocketServer socket_server(
+      protocol,
+      use_tcp ? server::Endpoint::tcp("", static_cast<std::uint16_t>(tcp_port))
+              : server::Endpoint::unix_socket(socket_path));
   std::string error;
   if (!socket_server.start(&error)) {
     std::cerr << "krsp_serve: " << error << "\n";
@@ -191,39 +178,14 @@ int run(int argc, char** argv) {
 
   // Terminal accounting: one JSON line, machine-parseable, emitted
   // unconditionally so a supervisor scraping stdout always gets the
-  // final counters after SIGTERM/drain.
+  // final counters after SIGTERM/drain: the stats op's fields (the
+  // solves_v1/solves_v2 split lets a fleet rollout verify v2 uptake
+  // shard by shard), then what only the process knows.
   {
-    const api::ServeStats s = service.stats();
     server::wire::ObjectWriter w;
     w.field("event", "final_stats");
-    w.field("protocol_version",
-            static_cast<std::int64_t>(server::kProtocolVersion));
-    // Per-shard wire-form adoption: how much of this process's solve
-    // traffic arrived as v1 inline vs v2 topology references. A fleet
-    // rollout greps these across shards to verify v2 uptake.
-    w.field("solves_v1", socket_server.protocol()->solves_v1());
-    w.field("solves_v2", socket_server.protocol()->solves_v2());
+    protocol.stats_fields(w);
     w.field("catalog_topologies", static_cast<std::uint64_t>(catalog.size()));
-    w.field("received", s.received);
-    w.field("served", s.served);
-    w.field("rejected_queue_full", s.rejected_queue_full);
-    w.field("rejected_deadline", s.rejected_deadline);
-    w.field("rejected_draining", s.rejected_draining);
-    class_stats_fields(w, "interactive", s.interactive);
-    class_stats_fields(w, "batch", s.batch);
-    w.field("cache_hits", s.cache_hits);
-    w.field("cache_misses", s.cache_misses);
-    w.field("cache_insertions", s.cache_insertions);
-    w.field("cache_evictions", s.cache_evictions);
-    w.field("cache_entries", static_cast<std::uint64_t>(s.cache_entries));
-    std::string shard_arr = "[";
-    for (std::size_t i = 0; i < s.cache_shard_entries.size(); ++i) {
-      if (i != 0) shard_arr.push_back(',');
-      shard_arr += std::to_string(s.cache_shard_entries[i]);
-    }
-    shard_arr.push_back(']');
-    w.raw("cache_shard_entries", shard_arr);
-    w.field("peak_pending", static_cast<std::uint64_t>(s.peak_pending));
     w.field("connections", socket_server.connections_accepted());
     w.field("peer_resets", socket_server.peer_resets());
     w.field("send_failures", socket_server.send_failures());

@@ -51,11 +51,16 @@ endif()
 
 # Malformed command lines print the error plus the usage line and exit 2
 # (never an uncaught exception): an unknown flag, a positional argument,
-# and a value that is not a number.
-foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc")
+# a value that is not a number, an eps that is not finite and > 0, and
+# negative counts, which must not wrap into unbounded ones (the daemon
+# would otherwise start serving; the timeout catches that).
+foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc"
+             "SOLVE;--instance=${instance};--eps1=nan"
+             "SERVE;--socket=${WORK_DIR}/smoke.sock;--max-pending=-1;--cache-capacity=-1")
   list(POP_FRONT case tool)
   execute_process(
     COMMAND ${KRSP_${tool}} ${case}
+    TIMEOUT 30
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2 OR NOT err MATCHES "usage: krsp_")
     message(FATAL_ERROR "bad command line '${case}' gave (${rc}): ${out}${err}")
