@@ -2,8 +2,9 @@
 # End-to-end chaos serving test: boot krsp_serve with the SLA ladder armed,
 # hammer it with krsp_loadgen under a 10% transport fault rate with retries
 # armed (every idempotent request must eventually succeed and --check every
-# served response bit-identical to a direct solve), then SIGTERM the daemon
-# and require a clean drain that emits the structured final_stats line.
+# served response bit-identical to a direct solve, and the run must inject
+# faults that force retries), then SIGTERM the daemon and require a clean
+# drain that emits the structured final_stats line.
 #
 #   usage: chaos_serve.sh <krsp_serve-binary> <krsp_loadgen-binary>
 set -eu
@@ -39,9 +40,27 @@ done
 # 10% of sends draw a fault (garbage / stall / truncate / reset / slow
 # read); with retries armed every request must still eventually succeed —
 # krsp_loadgen exits nonzero otherwise, and --check pins bit-identity.
-"$LOADGEN" --socket="$SOCK" --requests=48 --connections=4 --pool=4 \
+# Request r rides connection r % 4, each with its own seeded schedule, so
+# the faults are the same every run: fault seed 20 injects 6 over the 48
+# sends, 2 of which (a truncate or a reset) force a retry. A run that
+# injects none, or none that needs a retry, tests nothing and fails.
+LOADGEN_OUT="$DIR/loadgen.out"
+if ! "$LOADGEN" --socket="$SOCK" --requests=48 --connections=4 --pool=4 \
   --n=10 --seed=99 --mode=exact --check --stats \
-  --fault-rate=0.1 --fault-seed=12 --retries=8 --timeout-ms=5000
+  --fault-rate=0.1 --fault-seed=20 --retries=8 --timeout-ms=5000 \
+  > "$LOADGEN_OUT" 2>&1; then
+  cat "$LOADGEN_OUT" >&2
+  echo "chaos_serve: krsp_loadgen failed" >&2
+  exit 1
+fi
+cat "$LOADGEN_OUT"
+FAULTS="$(sed -n 's/.*faults_injected=\([0-9]*\).*/\1/p' "$LOADGEN_OUT")"
+RETRIES="$(sed -n 's/.* retries=\([0-9]*\).*/\1/p' "$LOADGEN_OUT")"
+if [ "${FAULTS:-0}" -lt 1 ] || [ "${RETRIES:-0}" -lt 1 ]; then
+  echo "chaos_serve: expected injected faults and retries, got" \
+    "faults_injected=${FAULTS:-?} retries=${RETRIES:-?}" >&2
+  exit 1
+fi
 
 # SIGTERM must drain gracefully: clean exit plus the structured stats line.
 kill -TERM "$SERVER_PID"

@@ -10,6 +10,7 @@ core::Solution larac_k(const core::Instance& inst) {
   const auto p1 = core::phase1_lagrangian(inst);
   core::Solution s;
   s.telemetry.phase1_mcmf_calls = p1.mcmf_calls;
+  s.telemetry.phase1_vertices_settled = p1.vertices_settled;
   s.telemetry.lambda = p1.lambda;
   s.telemetry.cost_lower_bound = p1.cost_lower_bound;
   switch (p1.status) {

@@ -1,5 +1,6 @@
 #include "core/phase1.h"
 
+#include <optional>
 #include <utility>
 
 #include "flow/disjoint.h"
@@ -27,11 +28,19 @@ Phase1Result phase1_lagrangian(const Instance& inst,
   inst.validate();
   Phase1Result out;
 
+  // Once per run: the workspace's topology check and each vertex's cost
+  // and delay distance to t, which make every MCMF search an A* toward t.
+  std::optional<flow::McfWorkspace::Scope> scope;
+  if (ws != nullptr) scope.emplace(*ws, inst.graph);
+  flow::SinkDistances sink(inst.graph, inst.t);
+
   const auto kflow = [&](std::int64_t w_cost,
                          std::int64_t w_delay) -> std::optional<Candidate> {
     ++out.mcmf_calls;
     auto f = flow::min_weight_disjoint_paths(inst.graph, inst.s, inst.t,
-                                             inst.k, w_cost, w_delay, ws);
+                                             inst.k, w_cost, w_delay, ws,
+                                             &sink);
+    out.vertices_settled = sink.vertices_settled();
     if (!f) return std::nullopt;
     return Candidate{std::move(*f)};
   };

@@ -47,6 +47,9 @@ struct Phase1Result {
   /// from a feasible point; equals `paths` when that one was selected.
   std::optional<PathSet> feasible_alternative;
   int mcmf_calls = 0;
+  /// Vertices settled over all searches of those calls (each call runs k
+  /// successive-shortest-path searches, goal-directed toward t).
+  std::int64_t vertices_settled = 0;
   /// The deadline expired mid-LARAC: the bracket (F_lo, F_hi) and the dual
   /// bound from the last λ are returned instead of the breakpoint λ*. The
   /// result is still a valid Lemma-5-style answer — any λ >= 0 yields a
@@ -59,9 +62,13 @@ struct Phase1Result {
 /// An expired `deadline` cuts the LARAC iteration short (see
 /// Phase1Result::deadline_hit); the two bracketing MCMF calls always run,
 /// so feasibility answers (kOptimal/kInfeasible/kNoKDisjointPaths) are
-/// exact regardless of the budget. `ws` (optional) reuses one min-cost-flow
-/// network across all LARAC iterations and across solves; results are
-/// identical with or without it.
+/// exact regardless of the budget. Each run first computes every vertex's
+/// cost and delay distance to t (two reverse Dijkstras); under the weight
+/// q·cost + p·delay, q·dist_cost(v) + p·dist_delay(v) is a consistent lower
+/// bound on v's weight to t, so each MCMF search runs as an A* toward t. `ws`
+/// (optional) reuses one min-cost-flow network across all LARAC
+/// iterations and across solves, its topology checked once per run;
+/// results are identical with or without it.
 Phase1Result phase1_lagrangian(const Instance& inst,
                                const util::Deadline& deadline = {},
                                flow::McfWorkspace* ws = nullptr);

@@ -18,6 +18,7 @@ graph::Cost ceil_of(const util::Rational& r) {
 Solution from_phase1(const Phase1Result& p1) {
   Solution s;
   s.telemetry.phase1_mcmf_calls = p1.mcmf_calls;
+  s.telemetry.phase1_vertices_settled = p1.vertices_settled;
   s.telemetry.lambda = p1.lambda;
   s.telemetry.cost_lower_bound = p1.cost_lower_bound;
   s.telemetry.deadline_expired = p1.deadline_hit;

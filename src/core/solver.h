@@ -74,6 +74,7 @@ const char* degradation_step_name(DegradationStep step);
 struct SolveTelemetry {
   double wall_seconds = 0.0;
   int phase1_mcmf_calls = 0;
+  std::int64_t phase1_vertices_settled = 0;  // over all phase-1 searches
   util::Rational lambda = 0;            // phase-1 breakpoint λ*
   util::Rational cost_lower_bound = 0;  // certified LP bound on C_OPT
   graph::Cost cost_guess_used = 0;      // final cap Ĉ†

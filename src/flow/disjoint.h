@@ -23,9 +23,12 @@ struct DisjointPaths {
 /// nullopt if fewer than k edge-disjoint paths exist. Weights must be
 /// non-negative multipliers. `ws` (optional) caches the flow network across
 /// calls on the same topology — the LARAC iteration and the batch engine's
-/// repeat solves become allocation-free on the MCMF side.
+/// repeat solves become allocation-free on the MCMF side. `sink` (optional,
+/// built for t on g) makes the flow's searches goal-directed; see
+/// min_weight_unit_flow.
 std::optional<DisjointPaths> min_weight_disjoint_paths(
     const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
-    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws = nullptr);
+    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws = nullptr,
+    SinkDistances* sink = nullptr);
 
 }  // namespace krsp::flow

@@ -1,7 +1,6 @@
 #include "flow/min_cost_flow.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <utility>
 
@@ -10,24 +9,10 @@ namespace krsp::flow {
 namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-
-/// Structural fingerprint of a digraph (FNV-1a over sizes + endpoints).
-/// Weights are excluded on purpose: min_weight_unit_flow re-prices every
-/// arc per call, so only the topology must match for reuse to be sound.
-std::uint64_t topology_fingerprint(const graph::Digraph& g) {
-  std::uint64_t h = 14695981039346656037ull;
-  const auto mix = [&h](std::uint64_t x) {
-    h ^= x;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(g.num_vertices()));
-  mix(static_cast<std::uint64_t>(g.num_edges()));
-  for (const auto& e : g.edges()) {
-    mix(static_cast<std::uint64_t>(e.from));
-    mix(static_cast<std::uint64_t>(e.to));
-  }
-  return h;
-}
+// Potential of a vertex that cannot reach t: the search never enters it.
+constexpr std::int64_t kDead = kInf;
+// Goal-directed potentials need W <= this bound (see the header).
+constexpr std::int64_t kGoalDirectedWeightLimit = kInf / 4;
 
 }  // namespace
 
@@ -43,7 +28,26 @@ int MinCostFlow::add_arc(graph::VertexId from, graph::VertexId to,
   KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
   KRSP_CHECK_MSG(!built_, "MinCostFlow::add_arc after the network was built");
   arcs_.push_back(Arc{from, to, capacity, cost});
+  add_to_total_weight(capacity, cost);
   return num_arcs() - 1;
+}
+
+void MinCostFlow::clear(int num_vertices) {
+  KRSP_CHECK(num_vertices >= 0);
+  num_vertices_ = num_vertices;
+  built_ = false;
+  arcs_.clear();
+  total_weight_ = 0;
+  total_weight_overflowed_ = false;
+  pushed_.clear();
+}
+
+void MinCostFlow::drain() {
+  for (const auto& [i, amount] : pushed_) {
+    cap_[i] += amount;
+    cap_[rev_[i]] -= amount;
+  }
+  pushed_.clear();
 }
 
 void MinCostFlow::build() {
@@ -61,7 +65,7 @@ void MinCostFlow::build() {
   head_.resize(2 * static_cast<std::size_t>(m));
   rev_.resize(head_.size());
   cap_.resize(head_.size());
-  cost_.resize(head_.size());
+  arc_.resize(head_.size());
   slot_.resize(m);
   for (int a = 0; a < m; ++a) {
     const Arc& arc = arcs_[a];
@@ -70,100 +74,108 @@ void MinCostFlow::build() {
     head_[fwd] = arc.to;
     rev_[fwd] = bwd;
     cap_[fwd] = arc.cap;
-    cost_[fwd] = arc.cost;
+    arc_[fwd] = a;
     head_[bwd] = arc.from;
     rev_[bwd] = fwd;
     cap_[bwd] = 0;
-    cost_[bwd] = -arc.cost;
+    arc_[bwd] = ~a;
     slot_[a] = fwd;
   }
   built_ = true;
 }
 
-void MinCostFlow::reset_flow() {
-  build();
-  for (int a = 0; a < num_arcs(); ++a) {
-    const int i = slot_[a];
-    cap_[i] = arcs_[a].cap;
-    cap_[rev_[i]] = 0;
-  }
+bool MinCostFlow::has_arcs_of(const graph::Digraph& g) const {
+  if (num_vertices() != g.num_vertices() || num_arcs() != g.num_edges())
+    return false;
+  const auto edges = g.edges();
+  for (int a = 0; a < num_arcs(); ++a)
+    if (arcs_[a].from != edges[a].from || arcs_[a].to != edges[a].to)
+      return false;
+  return true;
 }
 
-void MinCostFlow::set_arc_cost(int arc, std::int64_t cost) {
-  KRSP_CHECK(arc >= 0 && arc < num_arcs());
-  KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
-  build();
-  const int i = slot_[arc];
-  KRSP_CHECK_MSG(cap_[i] == arcs_[arc].cap,
-                 "set_arc_cost on an arc carrying flow");
-  arcs_[arc].cost = cost;
-  cost_[i] = cost;
-  cost_[rev_[i]] = -cost;
-}
-
-std::optional<std::int64_t> MinCostFlow::solve(graph::VertexId s,
-                                               graph::VertexId t,
-                                               std::int64_t amount) {
+std::optional<std::int64_t> MinCostFlow::solve(
+    graph::VertexId s, graph::VertexId t, std::int64_t amount,
+    std::span<const std::int64_t> sink_distance) {
   KRSP_CHECK(s >= 0 && s < num_vertices() && t >= 0 && t < num_vertices());
   KRSP_CHECK(s != t && amount >= 0);
+  KRSP_CHECK(sink_distance.empty() ||
+             static_cast<int>(sink_distance.size()) == num_vertices());
   build();
-  // Range argument for W = Σ cap·cost: potentials never fall and never pass
-  // π(t), the current s→t distance, so they lie in [0, W]; a settled
-  // vertex's distance plus an arc's reduced cost is a real path length
-  // minus a potential, in [0, W]; reduced costs lie in [-2W, 2W]; the
-  // flow's cost stays in [0, W]. W <= INT64_MAX / 2 keeps all of it exact.
-  std::int64_t total_weight = 0;
-  for (const Arc& a : arcs_)
-    total_weight = util::checked_add(
-        total_weight, util::checked_mul(a.cap, a.cost, "MinCostFlow weight"),
-        "MinCostFlow weight");
-  KRSP_CHECK_MSG(total_weight <= kInf / 2,
+  drain();
+  if (total_weight_overflowed_)
+    util::detail::overflow_failed("MinCostFlow weight");
+  KRSP_CHECK_MSG(total_weight_ <= kInf / 2,
                  "MinCostFlow weight Σ capacity·cost = "
-                     << total_weight << " overflows the int64 search range");
+                     << total_weight_ << " overflows the int64 search range");
 
   const int n = num_vertices();
-  potential_.assign(n, 0);
-  dist_.resize(n);
-  parent_arc_.resize(n);
   auto& potential = potential_;
   auto& dist = dist_;
+  if (!sink_distance.empty() && total_weight_ <= kGoalDirectedWeightLimit) {
+    KRSP_CHECK_MSG(sink_distance[t] == 0, "sink distance of t must be 0");
+    potential.resize(n);
+    for (int v = 0; v < n; ++v) {
+      const std::int64_t h = sink_distance[v];
+      KRSP_CHECK_MSG(h >= 0, "sink distances must be non-negative");
+      potential[v] = h <= total_weight_ ? -h : kDead;
+    }
+  } else {
+    potential.assign(n, 0);
+  }
+  dist.assign(n, kInf);
+  parent_arc_.resize(n);
+  path_vertices_.clear();
+  settled_ = 0;
   const auto tail = [&](int arc) { return head_[rev_[arc]]; };
   std::int64_t remaining = amount;
   std::int64_t total_cost = 0;
 
   while (remaining > 0) {
-    // Dijkstra on reduced costs, stopped once t is settled.
-    std::fill(dist.begin(), dist.end(), kInf);
+    if (potential[s] == kDead) return std::nullopt;  // s cannot reach t
+    // Dijkstra on reduced costs (A* toward t when goal-directed), stopped
+    // once t is settled.
     dist[s] = 0;
-    heap_.assign(1, {0, s});
+    touched_.assign(1, s);
+    heap_.clear();
+    heap_.push(0, s);
+    bool reached = false;
     while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      const auto [d, v] = heap_.back();
-      heap_.pop_back();
+      const auto [d, v] = heap_.pop();
       if (d != dist[v]) continue;
-      if (v == t) break;
+      ++settled_;
+      if (v == t) {
+        reached = true;
+        break;
+      }
       for (int i = first_[v]; i < first_[v + 1]; ++i) {
         if (cap_[i] <= 0) continue;
         const graph::VertexId w = head_[i];
-        const std::int64_t reduced = cost_[i] + potential[v] - potential[w];
+        if (potential[w] == kDead) continue;
+        const std::int64_t reduced =
+            residual_cost(i) + potential[v] - potential[w];
         KRSP_DCHECK(reduced >= 0);
         if (d + reduced < dist[w]) {
+          if (dist[w] == kInf) touched_.push_back(w);
           dist[w] = d + reduced;
           parent_arc_[w] = i;
-          heap_.emplace_back(dist[w], w);
-          std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+          heap_.push(dist[w], w);
         }
       }
     }
-    if (dist[t] == kInf) return std::nullopt;  // maxflow < amount
 
-    // Capped update: settled vertices move by their distance, all others
-    // (tentative or unreached, all at >= dist(t)) by dist(t). An arc out
-    // of a settled vertex was relaxed, and an arc out of an unsettled
-    // vertex gains dist(t) - min(dist(w), dist(t)) >= 0, so no reduced
-    // cost turns negative; the shortest path's arcs drop to zero.
+    if (!reached) return std::nullopt;  // maxflow < amount
+
+    // Settled vertices fall by dist(t) - dist(v); tentative ones (all at
+    // >= dist(t)) and unreached ones stay. An arc out of a settled vertex
+    // was relaxed, and an arc out of an unsettled vertex loses nothing, so
+    // no reduced cost turns negative; the shortest path's arcs drop to
+    // zero. Every distance returns to kInf for the next search.
     const std::int64_t dt = dist[t];
-    for (int v = 0; v < n; ++v) potential[v] += std::min(dist[v], dt);
+    for (const graph::VertexId v : touched_) {
+      if (dist[v] < dt) potential[v] -= dt - dist[v];
+      dist[v] = kInf;
+    }
 
     // Bottleneck along the shortest path.
     std::int64_t push = remaining;
@@ -173,8 +185,11 @@ std::optional<std::int64_t> MinCostFlow::solve(graph::VertexId s,
       const int i = parent_arc_[v];
       cap_[i] -= push;
       cap_[rev_[i]] += push;
-      total_cost += cost_[i] * push;
+      total_cost += residual_cost(i) * push;
+      pushed_.emplace_back(i, push);
+      path_vertices_.push_back(v);
     }
+    path_vertices_.push_back(s);
     remaining -= push;
   }
   return total_cost;
@@ -186,55 +201,107 @@ std::int64_t MinCostFlow::flow_on(int arc) const {
   return arcs_[arc].cap - cap_[slot_[arc]];
 }
 
-std::optional<UnitFlowResult> min_weight_unit_flow(const graph::Digraph& g,
-                                                   graph::VertexId s,
-                                                   graph::VertexId t, int k,
-                                                   std::int64_t w_cost,
-                                                   std::int64_t w_delay,
-                                                   McfWorkspace* ws) {
-  KRSP_CHECK(k >= 1);
-  const auto arc_weight = [&](const graph::Edge& e) {
-    constexpr const char* kWhat = "arc weight w_cost·cost + w_delay·delay";
-    return util::checked_add(util::checked_mul(w_cost, e.cost, kWhat),
-                             util::checked_mul(w_delay, e.delay, kWhat), kWhat);
-  };
+SinkDistances::SinkDistances(const graph::Digraph& g, graph::VertexId sink)
+    : sink_(sink),
+      cost_(paths::dijkstra_to(g, sink, paths::EdgeWeight::cost()).dist),
+      delay_(paths::dijkstra_to(g, sink, paths::EdgeWeight::delay()).dist) {}
 
-  MinCostFlow* mcf = nullptr;
-  std::optional<MinCostFlow> fresh;
-  const std::uint64_t fp = ws != nullptr ? topology_fingerprint(g) : 0;
-  if (ws != nullptr && ws->mcf_ && ws->fingerprint_ == fp &&
-      ws->mcf_->num_vertices() == g.num_vertices() &&
-      ws->mcf_->num_arcs() == g.num_edges()) {
-    // Same topology as the cached network: drain flow and re-price.
-    mcf = &*ws->mcf_;
-    mcf->reset_flow();
-    for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-      mcf->set_arc_cost(e, arc_weight(g.edge(e)));
-    ++ws->reuse_hits_;
+McfWorkspace::Scope::Scope(McfWorkspace& ws, const graph::Digraph& g)
+    : ws_(ws) {
+  KRSP_CHECK_MSG(ws.scoped_ == nullptr, "McfWorkspace scopes do not nest");
+  ws.adopt(g);
+  ws.scoped_ = &g;
+}
+
+McfWorkspace::Scope::~Scope() { ws_.scoped_ = nullptr; }
+
+void McfWorkspace::adopt(const graph::Digraph& g) {
+  if (mcf_ && mcf_->has_arcs_of(g)) return;
+  // A scope's graph no longer owns the network, so calls on it check again.
+  scoped_ = nullptr;
+  // Rebuilt in place, in the old network's storage. Arcs are priced by
+  // every solve, so they start at cost 0.
+  if (mcf_) {
+    mcf_->clear(g.num_vertices());
   } else {
-    // The old network goes first, so only one is ever in memory, and the
-    // new one is cached only once every arc is priced, so a throw leaves
-    // no half-built entry behind.
-    if (ws != nullptr) ws->mcf_.reset();
-    fresh.emplace(g.num_vertices());
-    for (const auto& edge : g.edges())
-      fresh->add_arc(edge.from, edge.to, 1, arc_weight(edge));
-    if (ws == nullptr) {
-      mcf = &*fresh;
-    } else {
-      ws->mcf_ = std::move(fresh);
-      ws->fingerprint_ = fp;
-      ++ws->rebuilds_;
-      mcf = &*ws->mcf_;
-    }
+    mcf_.emplace(g.num_vertices());
   }
+  for (const auto& edge : g.edges()) mcf_->add_arc(edge.from, edge.to, 1, 0);
+  unused_ = true;
+  ++rebuilds_;
+}
 
-  const auto weight = mcf->solve(s, t, k);
+MinCostFlow& McfWorkspace::network_for(const graph::Digraph& g) {
+  if (scoped_ != &g) adopt(g);
+  if (unused_) {
+    unused_ = false;
+  } else {
+    ++reuse_hits_;
+  }
+  return *mcf_;
+}
+
+std::optional<UnitFlowResult> min_weight_unit_flow(
+    const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
+    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
+    SinkDistances* sink) {
+  KRSP_CHECK(k >= 1);
+  KRSP_CHECK(sink == nullptr || (sink->sink() == t &&
+                                 static_cast<int>(sink->cost().size()) ==
+                                     g.num_vertices()));
+  std::optional<MinCostFlow> fresh;
+  MinCostFlow* mcf = nullptr;
+  if (ws != nullptr) {
+    mcf = &ws->network_for(g);
+  } else {
+    fresh.emplace(g.num_vertices());
+    for (const auto& edge : g.edges()) fresh->add_arc(edge.from, edge.to, 1, 0);
+    mcf = &*fresh;
+  }
+  const auto edges = g.edges();
+  mcf->reprice([&](int e) {
+    constexpr const char* kWhat = "arc weight w_cost·cost + w_delay·delay";
+    return util::checked_add(util::checked_mul(w_cost, edges[e].cost, kWhat),
+                             util::checked_mul(w_delay, edges[e].delay, kWhat),
+                             kWhat);
+  });
+
+  std::span<const std::int64_t> sink_distance;
+  if (sink != nullptr) {
+    // h(v) = w_cost·cost_to_t(v) + w_delay·delay_to_t(v): each term is a
+    // consistent lower bound under its own weight, so their sum is one
+    // under the combined weight, and it is at most W (a simple path's
+    // weight). So it overflows only when W does, and then solve() refuses
+    // the network before it reads h.
+    auto& h = sink->combined_;
+    h.resize(g.num_vertices());
+    for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+      std::int64_t by_cost = 0;
+      std::int64_t by_delay = 0;
+      const bool wrapped =
+          __builtin_mul_overflow(w_cost, sink->cost_[v], &by_cost) ||
+          __builtin_mul_overflow(w_delay, sink->delay_[v], &by_delay) ||
+          __builtin_add_overflow(by_cost, by_delay, &h[v]);
+      if (wrapped || sink->cost_[v] == paths::kUnreachable)
+        h[v] = paths::kUnreachable;
+    }
+    sink_distance = h;
+  }
+  const auto weight = mcf->solve(s, t, k, sink_distance);
+  if (sink != nullptr) sink->settled_ += mcf->vertices_settled();
   if (!weight) return std::nullopt;
+
+  // Every arc carrying flow leaves a vertex of an augmenting path.
   UnitFlowResult result;
   result.weight = *weight;
-  for (graph::EdgeId e = 0; e < g.num_edges(); ++e)
-    if (mcf->flow_on(e) > 0) result.edges.push_back(e);
+  std::vector<graph::VertexId> tails(mcf->path_vertices().begin(),
+                                     mcf->path_vertices().end());
+  std::sort(tails.begin(), tails.end());
+  tails.erase(std::unique(tails.begin(), tails.end()), tails.end());
+  for (const graph::VertexId v : tails)
+    for (const graph::EdgeId e : g.out_edges(v))
+      if (mcf->flow_on(e) > 0) result.edges.push_back(e);
+  std::sort(result.edges.begin(), result.edges.end());
   return result;
 }
 

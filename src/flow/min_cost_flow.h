@@ -5,23 +5,52 @@
 // This is the engine behind phase 1 (Lemma 5): min-cost k-flows under the
 // Lagrangian weight q·cost + p·delay are integral and computed exactly in
 // 64-bit integer arithmetic. Arc costs must be non-negative (all phase-1
-// weights are; residual negativity is handled by the potentials). After a
-// search stops at t, every vertex's potential rises by min(dist(v),
-// dist(t)), which keeps every residual reduced cost non-negative.
+// weights are; residual negativity is handled by the potentials).
 //
-// A MinCostFlow instance is reusable: reset_flow() restores all capacities
-// and set_arc_cost() retargets the objective, so a caller that solves the
-// same network repeatedly under different weights (the LARAC iteration, the
-// batch engine's repeat solves) pays for the arc structure once.
-// McfWorkspace packages that reuse pattern for min_weight_unit_flow.
+// Goal direction: a caller that knows a lower bound h(v) on every vertex's
+// distance to t (consistent: h(u) <= cost(u,v) + h(v) on every arc with
+// capacity, h(t) = 0) passes it to solve(), which starts from the
+// potential -h. Every search is then an A* search toward t: it settles only
+// vertices whose distance from s plus h stays within the s→t distance, and
+// it never enters a vertex that cannot reach t (h above W marks those; no
+// augmenting path can use them, because flow only ever runs on arcs whose
+// head reaches t). Without h the potentials start at 0.
+//
+// After a search stops at t with distance dist(t), each settled vertex's
+// potential falls by dist(t) - dist(v) and every other potential stays:
+// the textbook update (each rises by min(dist(v), dist(t))) minus the
+// constant dist(t), so reduced costs, and every result, are the same, while
+// the update touches only the vertices the search reached.
+//
+// Range argument, with W = Σ capacity·cost over all arcs: h(v) <= W for a
+// vertex that can reach t (a simple path's cost); in the textbook update
+// potentials start in [-W, 0] and never fall, and none passes π(t), which
+// equals the current s→t distance minus h(s), in [0, W]; so they stay in
+// [-W, W], and the shifted potentials kept here, π(v) - π(t), in [-2W, 0].
+// Reduced costs lie in [-3W, 3W]; a tentative distance is a residual walk's
+// cost plus π(s) - π(w), in [0, 2W]; the flow's cost stays in [0, W].
+// W <= INT64_MAX / 4 keeps all of it exact. Above that bound solve() uses
+// h ≡ 0, where potentials stay in [-W, 0] and reduced costs in [-2W, 2W],
+// and W <= INT64_MAX / 2 suffices; above that solve() refuses the network.
+//
+// A MinCostFlow instance is reusable: each solve() first undoes the flow of
+// the one before (only the arcs its augmenting paths used), and reprice()
+// retargets the objective in one sequential pass over the arcs, so a caller
+// that solves the same network repeatedly under different weights (the
+// LARAC iteration, the batch engine's repeat solves) pays for the arc
+// structure once. Residual arcs read their cost from the arc they belong
+// to, so re-pricing writes one value per arc. McfWorkspace packages that
+// reuse pattern for min_weight_unit_flow.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/digraph.h"
+#include "paths/dijkstra.h"
 
 namespace krsp::flow {
 
@@ -31,29 +60,48 @@ class MinCostFlow {
 
   /// Adds an arc; returns its handle, the number of arcs added before it.
   /// cost must be >= 0. Add every arc before the first solve(): the CSR
-  /// residual network is built at the first solve(), reset_flow() or
-  /// set_arc_cost(), and add_arc() after that throws util::CheckError.
+  /// residual network is built at the first solve() or reprice(), and
+  /// add_arc() after that throws util::CheckError.
   int add_arc(graph::VertexId from, graph::VertexId to, std::int64_t capacity,
               std::int64_t cost);
 
-  /// Sends exactly `amount` units s→t at minimum cost. Returns the total
-  /// cost, or nullopt if the max flow is smaller than `amount`.
-  /// Call reset_flow() before solving the same network again. Throws
-  /// util::CheckError when W = Σ capacity·cost exceeds INT64_MAX / 2, the
-  /// range inside which no distance, potential or cost total can wrap.
-  std::optional<std::int64_t> solve(graph::VertexId s, graph::VertexId t,
-                                    std::int64_t amount);
+  /// Removes every arc and sets the vertex count, keeping the allocated
+  /// storage: a network rebuilt for another graph of about the same size
+  /// allocates nothing.
+  void clear(int num_vertices);
 
-  /// Restores every arc to its original capacity (drains all flow), making
-  /// the instance solvable again without rebuilding the arc structure.
-  void reset_flow();
+  /// Sends exactly `amount` units s→t at minimum cost, starting from no
+  /// flow. Returns the total cost, or nullopt if the max flow is smaller
+  /// than `amount`.
+  /// `sink_distance`, when not empty, holds h(v) for every vertex as the
+  /// header describes (a value above W marks a vertex that cannot reach t)
+  /// and makes every search goal-directed; it is ignored when W exceeds
+  /// INT64_MAX / 4. Throws util::CheckError when W = Σ capacity·cost
+  /// exceeds INT64_MAX / 2.
+  std::optional<std::int64_t> solve(
+      graph::VertexId s, graph::VertexId t, std::int64_t amount,
+      std::span<const std::int64_t> sink_distance = {});
 
-  /// Re-prices arc `arc` (a handle from add_arc). cost must be >= 0.
-  /// Call only on a drained network (construction time or after
-  /// reset_flow()) so residual reverse arcs never carry stale prices.
-  void set_arc_cost(int arc, std::int64_t cost);
+  /// Re-prices every arc in one pass: arc `a` (a handle) gets cost
+  /// cost_of(a), which must be >= 0. The same pass sums W; like add_arc,
+  /// it leaves an overflowing W for the next solve() to report, so an
+  /// error cost_of throws for any arc comes first.
+  template <class CostOf>
+  void reprice(CostOf&& cost_of);
 
   [[nodiscard]] std::int64_t flow_on(int arc) const;
+
+  /// Vertices on the augmenting paths of the last solve(), with repeats:
+  /// every arc carrying flow leaves one of them.
+  [[nodiscard]] std::span<const graph::VertexId> path_vertices() const {
+    return path_vertices_;
+  }
+  /// Vertices settled by the searches of the last solve() (t included).
+  [[nodiscard]] std::int64_t vertices_settled() const { return settled_; }
+
+  /// True when the arcs are g's edges: same vertex count and, arc by
+  /// arc in handle order, the same endpoints.
+  [[nodiscard]] bool has_arcs_of(const graph::Digraph& g) const;
 
   [[nodiscard]] int num_vertices() const { return num_vertices_; }
   [[nodiscard]] int num_arcs() const { return static_cast<int>(arcs_.size()); }
@@ -68,26 +116,60 @@ class MinCostFlow {
 
   /// Lays arcs_ out as the CSR below, once.
   void build();
+  /// Adds capacity·cost to W, noting an overflow instead of wrapping.
+  void add_to_total_weight(std::int64_t capacity, std::int64_t cost) {
+    std::int64_t term = 0;
+    total_weight_overflowed_ |=
+        __builtin_mul_overflow(capacity, cost, &term) ||
+        __builtin_add_overflow(total_weight_, term, &total_weight_);
+  }
+  /// Undoes every augmentation since the last drain.
+  void drain();
+  /// Cost of residual arc i: its arc's cost, negated on a reverse arc.
+  [[nodiscard]] std::int64_t residual_cost(int i) const {
+    const int a = arc_[i];
+    return a >= 0 ? arcs_[a].cost : -arcs_[~a].cost;
+  }
 
   int num_vertices_ = 0;
   bool built_ = false;
   std::vector<Arc> arcs_;  // by handle, as added (cost kept current)
+  std::int64_t total_weight_ = 0;  // W, valid unless it overflowed
+  bool total_weight_overflowed_ = false;
   // Residual network: the arcs leaving v are first_[v] .. first_[v+1]-1,
   // forward and reverse arcs interleaved in the order add_arc created
-  // them; rev_ pairs each arc with its opposite, slot_ maps a handle to
-  // its forward arc.
+  // them; rev_ pairs each arc with its opposite, arc_ names its handle a
+  // (~a on the reverse arc), slot_ maps a handle to its forward arc.
   std::vector<int> first_;
   std::vector<graph::VertexId> head_;
   std::vector<int> rev_;
   std::vector<std::int64_t> cap_;
-  std::vector<std::int64_t> cost_;
+  std::vector<int> arc_;
   std::vector<int> slot_;
-  // Dijkstra scratch reused across solve() calls.
+  // (residual arc, amount) of every augmentation since the last drain.
+  std::vector<std::pair<int, std::int64_t>> pushed_;
+  // Search scratch reused across solve() calls; dist_ is kInf outside a
+  // search, touched_ lists the vertices a search gave a distance.
   std::vector<std::int64_t> potential_;
   std::vector<std::int64_t> dist_;
   std::vector<int> parent_arc_;
-  std::vector<std::pair<std::int64_t, graph::VertexId>> heap_;
+  std::vector<graph::VertexId> touched_;
+  paths::RadixHeap heap_{/*order_ties=*/true};
+  std::vector<graph::VertexId> path_vertices_;
+  std::int64_t settled_ = 0;
 };
+
+template <class CostOf>
+void MinCostFlow::reprice(CostOf&& cost_of) {
+  total_weight_ = 0;
+  total_weight_overflowed_ = false;
+  for (int a = 0; a < num_arcs(); ++a) {
+    const std::int64_t cost = cost_of(a);
+    KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
+    arcs_[a].cost = cost;
+    add_to_total_weight(arcs_[a].cap, cost);
+  }
+}
 
 /// Convenience: minimum-(linear weight) k edge-disjoint flow on a Digraph.
 /// Sends k units with every graph edge given capacity 1 and cost
@@ -99,36 +181,96 @@ struct UnitFlowResult {
   std::int64_t weight = 0;           // total combined weight
 };
 
+class McfWorkspace;
+class SinkDistances;
+
+/// `sink` (optional, built for t on g) makes the searches goal-directed and
+/// collects their settled-vertex count; without it they search as
+/// MinCostFlow does with h ≡ 0. `ws` (optional) reuses the network.
+std::optional<UnitFlowResult> min_weight_unit_flow(
+    const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
+    std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
+    SinkDistances* sink = nullptr);
+
+/// Each vertex's cost distance and delay distance to one sink, computed once
+/// (two reverse Dijkstras) and shared by a series of min_weight_unit_flow
+/// calls toward that sink under different weights (phase 1's LARAC run):
+/// for weights (w_cost, w_delay), w_cost·cost + w_delay·delay is a
+/// consistent lower bound on every vertex's distance to the sink, which
+/// makes each call's searches goal-directed. Also counts the vertices those
+/// searches settle.
+class SinkDistances {
+ public:
+  SinkDistances(const graph::Digraph& g, graph::VertexId sink);
+
+  [[nodiscard]] graph::VertexId sink() const { return sink_; }
+  /// paths::kUnreachable where the sink cannot be reached.
+  [[nodiscard]] const std::vector<graph::Cost>& cost() const { return cost_; }
+  [[nodiscard]] const std::vector<graph::Delay>& delay() const {
+    return delay_;
+  }
+  /// Vertices settled by the searches of every call given this object.
+  [[nodiscard]] std::int64_t vertices_settled() const { return settled_; }
+
+ private:
+  friend std::optional<UnitFlowResult> min_weight_unit_flow(
+      const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
+      std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
+      SinkDistances* sink);
+
+  graph::VertexId sink_;
+  std::vector<graph::Cost> cost_;
+  std::vector<graph::Delay> delay_;
+  std::vector<std::int64_t> combined_;  // per-call scratch for solve()
+  std::int64_t settled_ = 0;
+};
+
 /// Reusable network for min_weight_unit_flow: caches the MinCostFlow arc
-/// structure of the last topology solved, keyed by a structural fingerprint
-/// (vertex/edge counts + endpoints), so repeat solves on the same graph —
-/// different weights, different (s, t, k) — only reset capacities and
-/// re-price arcs instead of reallocating. Safe to hand a different graph:
-/// the fingerprint mismatch triggers a rebuild. Not thread-safe; intended
-/// as per-thread state (core::SolveWorkspace).
+/// structure of the last topology solved, so repeat solves on the same
+/// graph — different weights, different (s, t, k) — only re-price arcs
+/// instead of reallocating. Each call compares the cached arcs' endpoints
+/// with the graph's edges exactly and rebuilds on any difference, unless a
+/// Scope has already checked that graph. Not thread-safe; intended as
+/// per-thread state (core::SolveWorkspace).
 class McfWorkspace {
  public:
-  /// Number of solves that hit the cached arc structure (telemetry).
+  /// A run of calls on one graph, such as phase 1's LARAC iteration: the
+  /// constructor checks the cached network against g once, and while the
+  /// scope lives, calls on g skip the check (until a call on another graph
+  /// rebuilds the network). g must not change meanwhile.
+  class Scope {
+   public:
+    Scope(McfWorkspace& ws, const graph::Digraph& g);
+    ~Scope();
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    McfWorkspace& ws_;
+  };
+
+  /// Number of solves that ran on a network built for an earlier solve.
   [[nodiscard]] std::uint64_t reuse_hits() const { return reuse_hits_; }
+  /// Number of networks built.
   [[nodiscard]] std::uint64_t rebuilds() const { return rebuilds_; }
 
  private:
   friend std::optional<UnitFlowResult> min_weight_unit_flow(
       const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
-      std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws);
+      std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
+      SinkDistances* sink);
+
+  /// Makes the cached network g's, rebuilding it unless its arcs match.
+  void adopt(const graph::Digraph& g);
+  /// The network for one solve on g.
+  MinCostFlow& network_for(const graph::Digraph& g);
 
   std::optional<MinCostFlow> mcf_;  // arc handle == edge id
-  std::uint64_t fingerprint_ = 0;
+  const graph::Digraph* scoped_ = nullptr;
+  bool unused_ = false;  // built, not yet solved on
   std::uint64_t reuse_hits_ = 0;
   std::uint64_t rebuilds_ = 0;
 };
-
-std::optional<UnitFlowResult> min_weight_unit_flow(const graph::Digraph& g,
-                                                   graph::VertexId s,
-                                                   graph::VertexId t, int k,
-                                                   std::int64_t w_cost,
-                                                   std::int64_t w_delay,
-                                                   McfWorkspace* ws);
 
 inline std::optional<UnitFlowResult> min_weight_unit_flow(
     const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,

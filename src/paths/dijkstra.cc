@@ -1,7 +1,6 @@
 #include "paths/dijkstra.h"
 
 #include <algorithm>
-#include <queue>
 
 namespace krsp::paths {
 
@@ -20,35 +19,40 @@ std::vector<graph::EdgeId> ShortestPathTree::path_to(
 
 namespace {
 
-ShortestPathTree run_dijkstra(const graph::Digraph& g, graph::VertexId source,
+/// One Dijkstra for both directions: from `root` over out_edges, or with
+/// `toward_root` toward it over in_edges (each edge relaxes its tail). Ties
+/// pop in vertex order from a source, which fixes the parent tree's
+/// tie-breaks; a search toward the root serves distances, in any order.
+ShortestPathTree run_dijkstra(const graph::Digraph& g, graph::VertexId root,
                               const EdgeWeight& w,
-                              const std::vector<std::int64_t>* potential) {
-  KRSP_CHECK(g.is_vertex(source));
+                              const std::vector<std::int64_t>* potential,
+                              bool toward_root) {
+  KRSP_CHECK(g.is_vertex(root));
   const int n = g.num_vertices();
   ShortestPathTree tree;
   tree.dist.assign(n, kUnreachable);
   tree.parent.assign(n, graph::kInvalidEdge);
-  tree.dist[source] = 0;
+  tree.dist[root] = 0;
 
-  using Item = std::pair<std::int64_t, graph::VertexId>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> heap;
-  heap.emplace(0, source);
+  RadixHeap heap(/*order_ties=*/!toward_root);
+  heap.push(0, root);
   while (!heap.empty()) {
-    const auto [d, v] = heap.top();
-    heap.pop();
+    const auto [d, v] = heap.pop();
     if (d != tree.dist[v]) continue;  // stale entry
-    for (const graph::EdgeId e : g.out_edges(v)) {
+    for (const graph::EdgeId e :
+         toward_root ? g.in_edges(v) : g.out_edges(v)) {
       const auto& edge = g.edge(e);
       std::int64_t we = w(edge);
       if (potential != nullptr)
         we += (*potential)[edge.from] - (*potential)[edge.to];
       KRSP_CHECK_MSG(we >= 0, "dijkstra: negative (reduced) weight "
                                   << we << " on edge " << e);
+      const graph::VertexId u = toward_root ? edge.from : edge.to;
       const std::int64_t nd = d + we;
-      if (nd < tree.dist[edge.to]) {
-        tree.dist[edge.to] = nd;
-        tree.parent[edge.to] = e;
-        heap.emplace(nd, edge.to);
+      if (nd < tree.dist[u]) {
+        tree.dist[u] = nd;
+        tree.parent[u] = e;
+        heap.push(nd, u);
       }
     }
   }
@@ -59,14 +63,19 @@ ShortestPathTree run_dijkstra(const graph::Digraph& g, graph::VertexId source,
 
 ShortestPathTree dijkstra(const graph::Digraph& g, graph::VertexId source,
                           const EdgeWeight& w) {
-  return run_dijkstra(g, source, w, nullptr);
+  return run_dijkstra(g, source, w, nullptr, false);
+}
+
+ShortestPathTree dijkstra_to(const graph::Digraph& g, graph::VertexId target,
+                             const EdgeWeight& w) {
+  return run_dijkstra(g, target, w, nullptr, true);
 }
 
 ShortestPathTree dijkstra_with_potentials(
     const graph::Digraph& g, graph::VertexId source, const EdgeWeight& w,
     const std::vector<std::int64_t>& potential) {
   KRSP_CHECK(static_cast<int>(potential.size()) == g.num_vertices());
-  return run_dijkstra(g, source, w, &potential);
+  return run_dijkstra(g, source, w, &potential, false);
 }
 
 }  // namespace krsp::paths

@@ -1,14 +1,14 @@
 // Sharded LRU cache of solve results, keyed by a full request fingerprint.
 //
-// The engine's per-worker McfWorkspace already fingerprints graph
-// *topology* to reuse the MCMF arc structure across solves; the result
-// cache extends that idea to the whole request: topology PLUS edge
-// weights (costs and delays) PLUS the query parameters (s, t, k, D, mode,
-// eps1/eps2, guess strategy). Two requests with the same fingerprint are
-// the same deterministic computation, so serving the cached SolveResult
-// is bit-identical to re-solving — the property server_test checks with
-// randomized cost/delay mutations (must miss) vs pure re-queries (must
-// hit).
+// The engine's per-worker McfWorkspace already reuses the MCMF arc
+// structure across solves on one graph *topology* (checked arc by arc);
+// the result cache extends that idea to the whole request: topology PLUS
+// edge weights (costs and delays) PLUS the query parameters (s, t, k, D,
+// mode, eps1/eps2, guess strategy), keyed by a fingerprint. Two requests
+// with the same fingerprint are the same deterministic computation, so
+// serving the cached SolveResult is bit-identical to re-solving — the
+// property server_test checks with randomized cost/delay mutations (must
+// miss) vs pure re-queries (must hit).
 //
 // Deadline-bounded requests are never cached by the service: they are
 // anytime by design, so their results are not a pure function of the

@@ -11,6 +11,7 @@
 #include "graph/generators.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "paths/dijkstra.h"
 #include "util/rng.h"
 
 namespace krsp::flow {
@@ -152,6 +153,35 @@ TEST(MinWeightUnitFlow, EdgelessGraphIsNulloptWithAndWithoutWorkspace) {
     EXPECT_FALSE(min_weight_unit_flow(g, 0, 1, 1, 1, 0, &ws).has_value());
   EXPECT_EQ(ws.rebuilds(), 1u);
   EXPECT_EQ(ws.reuse_hits(), 1u);
+}
+
+// Two graphs with the same vertex and edge counts but other endpoints never
+// share a network, also when one is solved inside the other's scope: g's
+// cheapest path costs 2, h's costs 6, and h's prices on g's arcs give 2.
+TEST(McfWorkspace, SameSizedTopologiesNeverShareANetwork) {
+  Digraph g(4);
+  g.add_edge(0, 1, 1, 0);
+  g.add_edge(1, 3, 1, 0);
+  g.add_edge(0, 2, 5, 0);
+  g.add_edge(2, 3, 5, 0);
+  Digraph h(4);
+  h.add_edge(0, 1, 1, 0);
+  h.add_edge(2, 3, 1, 0);
+  h.add_edge(0, 2, 5, 0);
+  h.add_edge(1, 3, 5, 0);
+  McfWorkspace ws;
+  const auto weight = [&ws](const Digraph& graph) {
+    return min_weight_unit_flow(graph, 0, 3, 1, 1, 0, &ws)->weight;
+  };
+  {
+    McfWorkspace::Scope scope(ws, g);
+    EXPECT_EQ(weight(g), 2);
+    EXPECT_EQ(weight(h), 6);
+    EXPECT_EQ(weight(g), 2);
+  }
+  EXPECT_EQ(weight(h), 6);
+  EXPECT_EQ(weight(g), 2);
+  EXPECT_EQ(ws.rebuilds(), 5u);
 }
 
 // --- Property sweep against a reference with no potentials, no early stop.
@@ -400,6 +430,133 @@ TEST(MinCostFlow, TotalWeightBoundIsInclusiveAndNamedWhenExceeded) {
   } catch (const util::CheckError& e) {
     EXPECT_NE(std::string(e.what()).find("overflow"), std::string::npos)
         << e.what();
+  }
+}
+
+// --- Goal-directed searches: sink distances given.
+
+// The tie-heavy sweep again, each graph extended by dead ends: three new
+// vertices that no arc leaves toward the rest, and arcs into them from
+// random vertices. With sink distances every answer keeps the reference
+// weight and is a valid k-flow, on a fresh and on a reused network.
+TEST(MinWeightUnitFlow, PropertyGoalDirectedSweepWithDeadEndsMatchesReference) {
+  const UnitSweep sweep = make_unit_sweep();
+  util::Rng rng(1609);
+  McfWorkspace ws;
+  int feasible = 0;
+  for (const UnitQuery& q : sweep.queries) {
+    Digraph g = sweep.graphs[q.topology];
+    const int n = g.num_vertices();
+    for (int i = 0; i < 3; ++i) g.add_vertex();
+    for (int i = 0; i < 8; ++i) {
+      const auto from = static_cast<graph::VertexId>(rng.uniform_int(0, n + 2));
+      const auto into = static_cast<graph::VertexId>(rng.uniform_int(n, n + 2));
+      g.add_edge(from, into, rng.uniform_int(0, 2), rng.uniform_int(0, 2));
+    }
+    const auto weight = [&](const graph::Edge& e) {
+      return q.w_cost * e.cost + q.w_delay * e.delay;
+    };
+    std::vector<RefArc> arcs;
+    for (const auto& e : g.edges())
+      arcs.push_back(RefArc{e.from, e.to, 1, weight(e)});
+    const auto want =
+        reference_min_cost(g.num_vertices(), arcs, q.s, q.t, q.k);
+    SinkDistances sink(g, q.t);
+    // Fresh network, then the workspace twice: a rebuild and a reuse.
+    for (McfWorkspace* w : {static_cast<McfWorkspace*>(nullptr), &ws, &ws}) {
+      const auto got =
+          min_weight_unit_flow(g, q.s, q.t, q.k, q.w_cost, q.w_delay, w, &sink);
+      ASSERT_EQ(got.has_value(), want.has_value()) << g.summary();
+      if (!got) continue;
+      EXPECT_EQ(got->weight, *want) << g.summary();
+      std::vector<std::int64_t> net(g.num_vertices(), 0);
+      std::int64_t sum = 0;
+      for (std::size_t i = 0; i < got->edges.size(); ++i) {
+        const graph::EdgeId e = got->edges[i];
+        ASSERT_TRUE(e >= 0 && e < g.num_edges());
+        if (i > 0) {
+          ASSERT_LT(got->edges[i - 1], e);
+        }
+        ++net[g.edge(e).from];
+        --net[g.edge(e).to];
+        sum += weight(g.edge(e));
+      }
+      EXPECT_EQ(sum, got->weight);
+      for (graph::VertexId v = 0; v < g.num_vertices(); ++v)
+        EXPECT_EQ(net[v], v == q.s ? q.k : (v == q.t ? -q.k : 0));
+    }
+    if (want) ++feasible;
+  }
+  EXPECT_GT(feasible, 800);
+  EXPECT_EQ(ws.reuse_hits(), sweep.queries.size());
+}
+
+// Arcs 0→1, 1→2 and 3→0 toward t = 3: no arc enters t, so no other
+// vertex can reach it.
+MinCostFlow chain_toward_unreachable_sink() {
+  MinCostFlow mcf(4);
+  mcf.add_arc(0, 1, 1, 1);
+  mcf.add_arc(1, 2, 1, 1);
+  mcf.add_arc(3, 0, 1, 1);
+  return mcf;
+}
+
+TEST(MinCostFlow, SourceThatCannotReachSinkIsNulloptWithDistances) {
+  MinCostFlow mcf = chain_toward_unreachable_sink();
+  const std::vector<std::int64_t> h{paths::kUnreachable, paths::kUnreachable,
+                                    paths::kUnreachable, 0};
+  EXPECT_FALSE(mcf.solve(0, 3, 1, h).has_value());
+  EXPECT_FALSE(mcf.solve(0, 3, 1).has_value());
+
+  Digraph g(4);
+  g.add_edge(0, 1, 1, 1);
+  g.add_edge(1, 2, 1, 1);
+  g.add_edge(3, 0, 1, 1);
+  SinkDistances sink(g, 3);
+  EXPECT_EQ(sink.cost()[0], paths::kUnreachable);
+  EXPECT_FALSE(min_weight_unit_flow(g, 0, 3, 1, 1, 1, nullptr, &sink));
+}
+
+// Sending nothing costs nothing, whether or not s can reach t.
+TEST(MinCostFlow, ZeroAmountIsZeroEvenWhenSourceCannotReachSink) {
+  MinCostFlow mcf = chain_toward_unreachable_sink();
+  const std::vector<std::int64_t> h{paths::kUnreachable, paths::kUnreachable,
+                                    paths::kUnreachable, 0};
+  EXPECT_EQ(mcf.solve(0, 3, 0, h), std::optional<std::int64_t>{0});
+  EXPECT_EQ(mcf.solve(0, 3, 0), std::optional<std::int64_t>{0});
+}
+
+// Two routes 0→1→3 (X + 1) and 0→2→3 (2 + (X - 2)) and a dead end 0→4,
+// so W = 2X + 1. Goal-directed searches (W <= INT64_MAX / 4) never settle
+// the dead end; above that bound the distances are ignored and the dead
+// end is settled, and up to W = INT64_MAX / 2 the answer stays exact.
+TEST(MinCostFlow, GoalDirectionFallsBackAboveItsRangeAndStaysExact) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  for (const std::int64_t x : {kMax / 8, kMax / 5, kMax / 4 - 1}) {
+    const std::int64_t w = 2 * x + 1;
+    ASSERT_LE(w, kMax / 2);
+    const auto network = [&] {
+      MinCostFlow mcf(5);
+      mcf.add_arc(0, 1, 1, x);
+      mcf.add_arc(1, 3, 1, 1);
+      mcf.add_arc(0, 2, 1, 2);
+      mcf.add_arc(2, 3, 1, x - 2);
+      mcf.add_arc(0, 4, 1, 0);
+      return mcf;
+    };
+    const std::vector<std::int64_t> h{x, 1, x - 2, 0, paths::kUnreachable};
+    MinCostFlow plain = network();
+    MinCostFlow directed = network();
+    ASSERT_EQ(plain.solve(0, 3, 1), std::optional<std::int64_t>{x});
+    ASSERT_EQ(directed.solve(0, 3, 1, h), std::optional<std::int64_t>{x});
+    if (w <= kMax / 4) {
+      EXPECT_LT(directed.vertices_settled(), plain.vertices_settled());
+    } else {
+      EXPECT_EQ(directed.vertices_settled(), plain.vertices_settled());
+    }
+    EXPECT_EQ(plain.solve(0, 3, 2), std::optional<std::int64_t>{w});
+    EXPECT_EQ(directed.solve(0, 3, 2, h), std::optional<std::int64_t>{w});
+    EXPECT_EQ(directed.flow_on(4), 0);
   }
 }
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
+#include <utility>
+#include <vector>
+
 #include "graph/generators.h"
 #include "paths/bellman_ford.h"
 #include "util/rng.h"
@@ -75,6 +80,60 @@ TEST(Dijkstra, PropertyAgreesWithBellmanFord) {
         EXPECT_EQ(dj.dist[v], bf.tree.dist[v]) << "vertex " << v;
     }
   }
+}
+
+// Distances toward a target over in_edges equal distances from it on the
+// reversed graph, unreached vertices included, and each parent edge leaves
+// its vertex on a shortest path.
+TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
+  util::Rng rng(107);
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto g = gen::erdos_renyi(rng, 15, 0.2);
+    const Digraph reversed = g.reversed();
+    for (const auto& w : {EdgeWeight::cost(), EdgeWeight::combined(3, 2)}) {
+      const VertexId target = static_cast<VertexId>(trial % 15);
+      const auto to = dijkstra_to(g, target, w);
+      const auto from = dijkstra(reversed, target, w);
+      EXPECT_EQ(to.dist, from.dist);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        if (v == target || !to.reached(v)) {
+          EXPECT_EQ(to.parent[v], graph::kInvalidEdge);
+          continue;
+        }
+        const auto& e = g.edge(to.parent[v]);
+        EXPECT_EQ(e.from, v);
+        EXPECT_EQ(to.dist[v], w(e) + to.dist[e.to]);
+      }
+    }
+  }
+}
+
+// The radix heap pops what a binary heap over (key, vertex) pairs pops,
+// ties included, under monotone pushes with many equal keys.
+TEST(RadixHeap, OrderedTiesPopLikeABinaryHeapOverPairs) {
+  util::Rng rng(109);
+  RadixHeap radix(/*order_ties=*/true);
+  RadixHeap any_order(/*order_ties=*/false);
+  using Entry = RadixHeap::Entry;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> binary;
+  std::int64_t last = 0;
+  for (int step = 0; step < 20000; ++step) {
+    if (binary.empty() || rng.bernoulli(0.55)) {
+      const std::int64_t key = last + rng.uniform_int(0, 3) *
+                                          (rng.bernoulli(0.1) ? 1 << 20 : 1);
+      const auto v = static_cast<VertexId>(rng.uniform_int(0, 50));
+      radix.push(key, v);
+      any_order.push(key, v);
+      binary.emplace(key, v);
+      continue;
+    }
+    const Entry want = binary.top();
+    binary.pop();
+    ASSERT_EQ(radix.pop(), want) << "step " << step;
+    ASSERT_EQ(any_order.pop().first, want.first) << "step " << step;
+    last = want.first;
+  }
+  EXPECT_EQ(radix.empty(), binary.empty());
 }
 
 TEST(DijkstraWithPotentials, JohnsonReweighting) {

@@ -359,9 +359,9 @@ TEST(ProtocolV2Test, SolveFieldsMustHaveTheirTypeAndRange) {
   ASSERT_TRUE(loose->get_bool("served", false));
   ASSERT_TRUE(huge->get_bool("served", false));
   EXPECT_EQ(loose->get_int("cost", -1), 75);
-  EXPECT_EQ(loose->get_int("delay", -1), 142);
+  EXPECT_EQ(loose->get_int("delay", -1), 140);
   EXPECT_EQ(huge->get_int("cost", -1), 75);
-  EXPECT_EQ(huge->get_int("delay", -1), 142);
+  EXPECT_EQ(huge->get_int("delay", -1), 140);
 }
 
 // The stats op's bytes are a contract (perfbench and supervisors read

@@ -8,7 +8,9 @@
 //   $ krsp_serve --tcp=4701 [...]          # TCP listener instead
 //
 // Each tuning flag sets one api::ServerOptions field (--cache-capacity=0
-// turns the result cache off); a negative count is a usage error.
+// turns the result cache off); a negative count, a --max-pending-batch
+// above a non-zero --max-pending and a --degrade-wait that is not finite
+// and >= 0 are usage errors.
 //
 // --tcp=PORT listens on TCP instead of a Unix socket (the fleet-shard
 // transport behind krsp_router; same wire bytes either way). --tcp=0
@@ -52,6 +54,7 @@
 // instead of rejecting). A deadline-bounded request whose predicted
 // queue wait already exhausts its deadline is always rejected up front.
 #include <algorithm>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <iostream>
@@ -71,7 +74,8 @@ constexpr char kUsage[] =
     "[--threads=0] [--max-pending=256] [--max-pending-batch=0] "
     "[--degrade-wait=0] [--cache-capacity=1024] [--cache-shards=8] "
     "[--trace-out=FILE] [--trace-sample=1] [--quiet]  (exactly one of "
-    "--socket / --tcp; counts are >= 0)";
+    "--socket / --tcp; counts are >= 0; --max-pending-batch <= a non-zero "
+    "--max-pending; --degrade-wait is finite and >= 0)";
 
 krsp::server::SocketServer* g_server = nullptr;
 
@@ -100,6 +104,20 @@ int run(int argc, char** argv) {
   const auto trace_sample = cli.get_int("trace-sample", 1);
   const bool quiet = cli.get_bool("quiet", false);
   cli.reject_unknown();
+  // Settings admission cannot honour are usage errors, not a failed
+  // internal check (a batch cap above the global one) or a silently
+  // disarmed overload ladder (a wait that is NaN or negative).
+  if (options.max_pending > 0 &&
+      options.max_pending_batch > options.max_pending)
+    throw util::CliError("--max-pending-batch=" +
+                         std::to_string(options.max_pending_batch) +
+                         ": must not exceed --max-pending=" +
+                         std::to_string(options.max_pending));
+  if (!(std::isfinite(options.degrade_wait_seconds) &&
+        options.degrade_wait_seconds >= 0.0))
+    throw util::CliError("--degrade-wait=" +
+                         cli.get_string("degrade-wait", "") +
+                         ": must be finite and >= 0");
 
   const bool use_tcp = tcp_port >= 0;
   if (socket_path.empty() == !use_tcp || tcp_port > 65535) {

@@ -110,6 +110,8 @@ int run(int argc, char** argv) {
   if (verbose) {
     std::cout << "telemetry: wall " << result.telemetry.wall_seconds * 1e3
               << " ms, mcmf calls " << result.telemetry.phase1_mcmf_calls
+              << ", vertices settled "
+              << result.telemetry.phase1_vertices_settled
               << ", lambda* " << result.telemetry.lambda << ", C_LP "
               << result.telemetry.cost_lower_bound << ", cap guess "
               << result.telemetry.cost_guess_used << ", cancellation iters "

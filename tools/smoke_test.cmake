@@ -53,10 +53,16 @@ endif()
 # (never an uncaught exception): an unknown flag, a positional argument,
 # a value that is not a number, an eps that is not finite and > 0, and
 # negative counts, which must not wrap into unbounded ones (the daemon
-# would otherwise start serving; the timeout catches that).
+# would otherwise start serving; the timeout catches that). So do serving
+# settings admission cannot honour: a batch cap above a non-zero global
+# cap (an internal check used to exit 1) and a degrade wait that is NaN or
+# negative (the daemon used to serve with its overload ladder disarmed).
 foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc"
              "SOLVE;--instance=${instance};--eps1=nan"
-             "SERVE;--socket=${WORK_DIR}/smoke.sock;--max-pending=-1;--cache-capacity=-1")
+             "SERVE;--socket=${WORK_DIR}/smoke.sock;--max-pending=-1;--cache-capacity=-1"
+             "SERVE;--socket=${WORK_DIR}/smoke.sock;--max-pending=4;--max-pending-batch=8"
+             "SERVE;--socket=${WORK_DIR}/smoke.sock;--degrade-wait=nan"
+             "SERVE;--socket=${WORK_DIR}/smoke.sock;--degrade-wait=-3")
   list(POP_FRONT case tool)
   execute_process(
     COMMAND ${KRSP_${tool}} ${case}
