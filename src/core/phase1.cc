@@ -28,10 +28,13 @@ Phase1Result phase1_lagrangian(const Instance& inst,
   inst.validate();
   Phase1Result out;
 
-  // Once per run: the workspace's topology check and each vertex's cost
-  // and delay distance to t, which make every MCMF search an A* toward t.
-  std::optional<flow::McfWorkspace::Scope> scope;
-  if (ws != nullptr) scope.emplace(*ws, inst.graph);
+  // Σcost and Σdelay are checked (they throw on overflow) and bound every
+  // path's cost and delay, so no search below can overflow.
+  const graph::Cost cost_sum = inst.graph.total_cost();
+  const graph::Delay delay_sum = inst.graph.total_delay();
+
+  // Once per run: each vertex's cost and delay distance to t, which make
+  // every MCMF search an A* toward t.
   flow::SinkDistances sink(inst.graph, inst.t);
 
   const auto kflow = [&](std::int64_t w_cost,
@@ -47,8 +50,6 @@ Phase1Result phase1_lagrangian(const Instance& inst,
 
   // Min-cost flow, ignoring delay. Among min-cost flows prefer low delay
   // (lexicographic tie-break) so loose budgets are recognized as optimal.
-  const graph::Cost cost_sum = inst.graph.total_cost();
-  const graph::Delay delay_sum = inst.graph.total_delay();
   auto f_cost = kflow(util::checked_add(delay_sum, 1, "Σdelay + 1"), 1);
   if (!f_cost) {
     out.status = Phase1Status::kNoKDisjointPaths;

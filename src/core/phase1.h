@@ -62,13 +62,14 @@ struct Phase1Result {
 /// An expired `deadline` cuts the LARAC iteration short (see
 /// Phase1Result::deadline_hit); the two bracketing MCMF calls always run,
 /// so feasibility answers (kOptimal/kInfeasible/kNoKDisjointPaths) are
-/// exact regardless of the budget. Each run first computes every vertex's
-/// cost and delay distance to t (two reverse Dijkstras); under the weight
-/// q·cost + p·delay, q·dist_cost(v) + p·dist_delay(v) is a consistent lower
-/// bound on v's weight to t, so each MCMF search runs as an A* toward t. `ws`
+/// exact regardless of the budget. Each run first checks Σcost and Σdelay
+/// for overflow, then computes every vertex's cost and delay distance to t
+/// (two reverse Dijkstras); under the weight q·cost + p·delay,
+/// q·dist_cost(v) + p·dist_delay(v) is a consistent lower bound on v's
+/// weight to t, so each MCMF search runs as an A* toward t. `ws`
 /// (optional) reuses one min-cost-flow network across all LARAC
-/// iterations and across solves, its topology checked once per run;
-/// results are identical with or without it.
+/// iterations and across solves, its topology checked in each call's
+/// re-pricing pass; results are identical with or without it.
 Phase1Result phase1_lagrangian(const Instance& inst,
                                const util::Deadline& deadline = {},
                                flow::McfWorkspace* ws = nullptr);

@@ -84,16 +84,6 @@ void MinCostFlow::build() {
   built_ = true;
 }
 
-bool MinCostFlow::has_arcs_of(const graph::Digraph& g) const {
-  if (num_vertices() != g.num_vertices() || num_arcs() != g.num_edges())
-    return false;
-  const auto edges = g.edges();
-  for (int a = 0; a < num_arcs(); ++a)
-    if (arcs_[a].from != edges[a].from || arcs_[a].to != edges[a].to)
-      return false;
-  return true;
-}
-
 std::optional<std::int64_t> MinCostFlow::solve(
     graph::VertexId s, graph::VertexId t, std::int64_t amount,
     std::span<const std::int64_t> sink_distance) {
@@ -206,41 +196,6 @@ SinkDistances::SinkDistances(const graph::Digraph& g, graph::VertexId sink)
       cost_(paths::dijkstra_to(g, sink, paths::EdgeWeight::cost()).dist),
       delay_(paths::dijkstra_to(g, sink, paths::EdgeWeight::delay()).dist) {}
 
-McfWorkspace::Scope::Scope(McfWorkspace& ws, const graph::Digraph& g)
-    : ws_(ws) {
-  KRSP_CHECK_MSG(ws.scoped_ == nullptr, "McfWorkspace scopes do not nest");
-  ws.adopt(g);
-  ws.scoped_ = &g;
-}
-
-McfWorkspace::Scope::~Scope() { ws_.scoped_ = nullptr; }
-
-void McfWorkspace::adopt(const graph::Digraph& g) {
-  if (mcf_ && mcf_->has_arcs_of(g)) return;
-  // A scope's graph no longer owns the network, so calls on it check again.
-  scoped_ = nullptr;
-  // Rebuilt in place, in the old network's storage. Arcs are priced by
-  // every solve, so they start at cost 0.
-  if (mcf_) {
-    mcf_->clear(g.num_vertices());
-  } else {
-    mcf_.emplace(g.num_vertices());
-  }
-  for (const auto& edge : g.edges()) mcf_->add_arc(edge.from, edge.to, 1, 0);
-  unused_ = true;
-  ++rebuilds_;
-}
-
-MinCostFlow& McfWorkspace::network_for(const graph::Digraph& g) {
-  if (scoped_ != &g) adopt(g);
-  if (unused_) {
-    unused_ = false;
-  } else {
-    ++reuse_hits_;
-  }
-  return *mcf_;
-}
-
 std::optional<UnitFlowResult> min_weight_unit_flow(
     const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
     std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
@@ -249,22 +204,28 @@ std::optional<UnitFlowResult> min_weight_unit_flow(
   KRSP_CHECK(sink == nullptr || (sink->sink() == t &&
                                  static_cast<int>(sink->cost().size()) ==
                                      g.num_vertices()));
-  std::optional<MinCostFlow> fresh;
-  MinCostFlow* mcf = nullptr;
-  if (ws != nullptr) {
-    mcf = &ws->network_for(g);
-  } else {
-    fresh.emplace(g.num_vertices());
-    for (const auto& edge : g.edges()) fresh->add_arc(edge.from, edge.to, 1, 0);
-    mcf = &*fresh;
-  }
-  const auto edges = g.edges();
-  mcf->reprice([&](int e) {
+  const auto weight_of = [&](const graph::Edge& edge) {
     constexpr const char* kWhat = "arc weight w_cost·cost + w_delay·delay";
-    return util::checked_add(util::checked_mul(w_cost, edges[e].cost, kWhat),
-                             util::checked_mul(w_delay, edges[e].delay, kWhat),
+    return util::checked_add(util::checked_mul(w_cost, edge.cost, kWhat),
+                             util::checked_mul(w_delay, edge.delay, kWhat),
                              kWhat);
-  });
+  };
+  McfWorkspace local;
+  if (ws == nullptr) ws = &local;
+  auto& mcf = ws->mcf_;
+  if (mcf && mcf->reprice(g, weight_of)) {
+    ++ws->reuse_hits_;
+  } else {
+    // Built for g, in the old network's storage when there is one.
+    if (mcf) {
+      mcf->clear(g.num_vertices());
+    } else {
+      mcf.emplace(g.num_vertices());
+    }
+    ++ws->rebuilds_;
+    for (const auto& edge : g.edges())
+      mcf->add_arc(edge.from, edge.to, 1, weight_of(edge));
+  }
 
   std::span<const std::int64_t> sink_distance;
   if (sink != nullptr) {

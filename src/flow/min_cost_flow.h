@@ -35,12 +35,13 @@
 //
 // A MinCostFlow instance is reusable: each solve() first undoes the flow of
 // the one before (only the arcs its augmenting paths used), and reprice()
-// retargets the objective in one sequential pass over the arcs, so a caller
-// that solves the same network repeatedly under different weights (the
-// LARAC iteration, the batch engine's repeat solves) pays for the arc
-// structure once. Residual arcs read their cost from the arc they belong
-// to, so re-pricing writes one value per arc. McfWorkspace packages that
-// reuse pattern for min_weight_unit_flow.
+// retargets the objective in one sequential pass over the arcs, which also
+// checks that they are still the graph's edges, so a caller that solves the
+// same network repeatedly under different weights (the LARAC iteration,
+// the batch engine's repeat solves) pays for the arc structure once.
+// Residual arcs read their cost from the arc they belong to, so re-pricing
+// writes one value per arc. McfWorkspace packages that reuse pattern for
+// min_weight_unit_flow.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +61,8 @@ class MinCostFlow {
 
   /// Adds an arc; returns its handle, the number of arcs added before it.
   /// cost must be >= 0. Add every arc before the first solve(): the CSR
-  /// residual network is built at the first solve() or reprice(), and
-  /// add_arc() after that throws util::CheckError.
+  /// residual network is built there, and add_arc() after that throws
+  /// util::CheckError.
   int add_arc(graph::VertexId from, graph::VertexId to, std::int64_t capacity,
               std::int64_t cost);
 
@@ -82,12 +83,15 @@ class MinCostFlow {
       graph::VertexId s, graph::VertexId t, std::int64_t amount,
       std::span<const std::int64_t> sink_distance = {});
 
-  /// Re-prices every arc in one pass: arc `a` (a handle) gets cost
-  /// cost_of(a), which must be >= 0. The same pass sums W; like add_arc,
-  /// it leaves an overflowing W for the next solve() to report, so an
-  /// error cost_of throws for any arc comes first.
+  /// Re-prices the arcs as g's edges in one pass: arc `a` (a handle) gets
+  /// cost cost_of(edge a), which must be >= 0. The same pass sums W; like
+  /// add_arc, it leaves an overflowing W for the next solve() to report, so
+  /// an error cost_of throws for any arc comes first. Returns false when
+  /// the arcs are not g's edges (another vertex or arc count or, arc by
+  /// arc, other endpoints); the prices are then partial, and the caller
+  /// rebuilds the network.
   template <class CostOf>
-  void reprice(CostOf&& cost_of);
+  [[nodiscard]] bool reprice(const graph::Digraph& g, CostOf&& cost_of);
 
   [[nodiscard]] std::int64_t flow_on(int arc) const;
 
@@ -98,10 +102,6 @@ class MinCostFlow {
   }
   /// Vertices settled by the searches of the last solve() (t included).
   [[nodiscard]] std::int64_t vertices_settled() const { return settled_; }
-
-  /// True when the arcs are g's edges: same vertex count and, arc by
-  /// arc in handle order, the same endpoints.
-  [[nodiscard]] bool has_arcs_of(const graph::Digraph& g) const;
 
   [[nodiscard]] int num_vertices() const { return num_vertices_; }
   [[nodiscard]] int num_arcs() const { return static_cast<int>(arcs_.size()); }
@@ -160,15 +160,21 @@ class MinCostFlow {
 };
 
 template <class CostOf>
-void MinCostFlow::reprice(CostOf&& cost_of) {
+bool MinCostFlow::reprice(const graph::Digraph& g, CostOf&& cost_of) {
+  if (num_vertices() != g.num_vertices() || num_arcs() != g.num_edges())
+    return false;
   total_weight_ = 0;
   total_weight_overflowed_ = false;
+  const auto edges = g.edges();
   for (int a = 0; a < num_arcs(); ++a) {
-    const std::int64_t cost = cost_of(a);
+    Arc& arc = arcs_[a];
+    if (arc.from != edges[a].from || arc.to != edges[a].to) return false;
+    const std::int64_t cost = cost_of(edges[a]);
     KRSP_CHECK_MSG(cost >= 0, "MinCostFlow requires non-negative arc costs");
-    arcs_[a].cost = cost;
-    add_to_total_weight(arcs_[a].cap, cost);
+    arc.cost = cost;
+    add_to_total_weight(arc.cap, cost);
   }
+  return true;
 }
 
 /// Convenience: minimum-(linear weight) k edge-disjoint flow on a Digraph.
@@ -198,7 +204,8 @@ std::optional<UnitFlowResult> min_weight_unit_flow(
 /// for weights (w_cost, w_delay), w_cost·cost + w_delay·delay is a
 /// consistent lower bound on every vertex's distance to the sink, which
 /// makes each call's searches goal-directed. Also counts the vertices those
-/// searches settle.
+/// searches settle. g's Σcost and Σdelay must fit in int64 (phase 1 checks
+/// them first): they bound every distance, so the searches cannot overflow.
 class SinkDistances {
  public:
   SinkDistances(const graph::Digraph& g, graph::VertexId sink);
@@ -228,27 +235,12 @@ class SinkDistances {
 /// Reusable network for min_weight_unit_flow: caches the MinCostFlow arc
 /// structure of the last topology solved, so repeat solves on the same
 /// graph — different weights, different (s, t, k) — only re-price arcs
-/// instead of reallocating. Each call compares the cached arcs' endpoints
-/// with the graph's edges exactly and rebuilds on any difference, unless a
-/// Scope has already checked that graph. Not thread-safe; intended as
+/// instead of reallocating. Each call's re-pricing pass compares the
+/// cached arcs' endpoints with the graph's edges exactly, and the network
+/// is rebuilt in place on any difference. Not thread-safe; intended as
 /// per-thread state (core::SolveWorkspace).
 class McfWorkspace {
  public:
-  /// A run of calls on one graph, such as phase 1's LARAC iteration: the
-  /// constructor checks the cached network against g once, and while the
-  /// scope lives, calls on g skip the check (until a call on another graph
-  /// rebuilds the network). g must not change meanwhile.
-  class Scope {
-   public:
-    Scope(McfWorkspace& ws, const graph::Digraph& g);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    McfWorkspace& ws_;
-  };
-
   /// Number of solves that ran on a network built for an earlier solve.
   [[nodiscard]] std::uint64_t reuse_hits() const { return reuse_hits_; }
   /// Number of networks built.
@@ -260,14 +252,7 @@ class McfWorkspace {
       std::int64_t w_cost, std::int64_t w_delay, McfWorkspace* ws,
       SinkDistances* sink);
 
-  /// Makes the cached network g's, rebuilding it unless its arcs match.
-  void adopt(const graph::Digraph& g);
-  /// The network for one solve on g.
-  MinCostFlow& network_for(const graph::Digraph& g);
-
   std::optional<MinCostFlow> mcf_;  // arc handle == edge id
-  const graph::Digraph* scoped_ = nullptr;
-  bool unused_ = false;  // built, not yet solved on
   std::uint64_t reuse_hits_ = 0;
   std::uint64_t rebuilds_ = 0;
 };

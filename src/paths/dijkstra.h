@@ -103,8 +103,12 @@ class RadixHeap {
 
   [[nodiscard]] bool empty() const { return size_ == 0; }
 
+  /// Throws util::CheckError on a key below the last popped one, such as
+  /// a distance sum that wrapped: it has no bucket.
   void push(std::int64_t key, graph::VertexId v) {
-    KRSP_DCHECK(key >= last_);
+    KRSP_CHECK_MSG(key >= last_, "RadixHeap key " << key
+                                                  << " below the last popped "
+                                                  << last_);
     place(key, v, kNone);
     ++size_;
   }

@@ -219,6 +219,28 @@ TEST(EdgeCases, WrappingPhase1WeightFailsAndNamesTheOverflow) {
   }
 }
 
+// Two arcs of cost 5e18: every s–t path costs more than INT64_MAX. The
+// checked Σcost must refuse the instance before any search adds the two
+// costs, in every mode.
+TEST(EdgeCases, PathCostPastInt64FailsAndNamesTheOverflow) {
+  api::SolveRequest req;
+  Instance& inst = req.instance;
+  inst.graph.resize(3);
+  inst.graph.add_edge(0, 1, 5000000000000000000LL, 0);
+  inst.graph.add_edge(1, 2, 5000000000000000000LL, 0);
+  inst.s = 0;
+  inst.t = 2;
+  inst.k = 1;
+  inst.delay_bound = 5;
+  for (const api::Mode mode : {api::Mode::kScaled, api::Mode::kExactWeights,
+                               api::Mode::kPhase1Only}) {
+    req.mode = mode;
+    const api::SolveResult r = api::Solver::solve(req);
+    EXPECT_EQ(r.status, SolveStatus::kFailed) << "cost " << r.cost;
+    EXPECT_NE(r.error.find("overflow"), std::string::npos) << r.error;
+  }
+}
+
 // An instance with no edges is valid input (m = 0 parses and validates);
 // every mode must report that no k disjoint paths exist.
 TEST(EdgeCases, EdgelessInstanceHasNoDisjointPaths) {

@@ -156,8 +156,9 @@ TEST(MinWeightUnitFlow, EdgelessGraphIsNulloptWithAndWithoutWorkspace) {
 }
 
 // Two graphs with the same vertex and edge counts but other endpoints never
-// share a network, also when one is solved inside the other's scope: g's
-// cheapest path costs 2, h's costs 6, and h's prices on g's arcs give 2.
+// share a network: g's cheapest path costs 2, h's costs 6, and h's prices
+// on g's arcs give 2. g with one more, isolated vertex does not share g's
+// network either.
 TEST(McfWorkspace, SameSizedTopologiesNeverShareANetwork) {
   Digraph g(4);
   g.add_edge(0, 1, 1, 0);
@@ -169,19 +170,19 @@ TEST(McfWorkspace, SameSizedTopologiesNeverShareANetwork) {
   h.add_edge(2, 3, 1, 0);
   h.add_edge(0, 2, 5, 0);
   h.add_edge(1, 3, 5, 0);
+  Digraph wider = g;
+  wider.resize(5);
   McfWorkspace ws;
   const auto weight = [&ws](const Digraph& graph) {
     return min_weight_unit_flow(graph, 0, 3, 1, 1, 0, &ws)->weight;
   };
-  {
-    McfWorkspace::Scope scope(ws, g);
-    EXPECT_EQ(weight(g), 2);
-    EXPECT_EQ(weight(h), 6);
-    EXPECT_EQ(weight(g), 2);
-  }
+  EXPECT_EQ(weight(g), 2);
   EXPECT_EQ(weight(h), 6);
   EXPECT_EQ(weight(g), 2);
-  EXPECT_EQ(ws.rebuilds(), 5u);
+  EXPECT_EQ(weight(g), 2);
+  EXPECT_FALSE(min_weight_unit_flow(wider, 0, 4, 1, 1, 0, &ws).has_value());
+  EXPECT_EQ(ws.rebuilds(), 4u);
+  EXPECT_EQ(ws.reuse_hits(), 1u);
 }
 
 // --- Property sweep against a reference with no potentials, no early stop.

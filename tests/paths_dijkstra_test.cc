@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <limits>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -109,13 +111,17 @@ TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
 }
 
 // The radix heap pops what a binary heap over (key, vertex) pairs pops,
-// ties included, under monotone pushes with many equal keys.
+// ties included, under monotone pushes with many equal keys. Without
+// ordered ties it pops the same keys in the same order and, once drained,
+// the same entries.
 TEST(RadixHeap, OrderedTiesPopLikeABinaryHeapOverPairs) {
   util::Rng rng(109);
   RadixHeap radix(/*order_ties=*/true);
   RadixHeap any_order(/*order_ties=*/false);
   using Entry = RadixHeap::Entry;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<>> binary;
+  std::vector<Entry> popped_binary;
+  std::vector<Entry> popped_any_order;
   std::int64_t last = 0;
   for (int step = 0; step < 20000; ++step) {
     if (binary.empty() || rng.bernoulli(0.55)) {
@@ -130,10 +136,36 @@ TEST(RadixHeap, OrderedTiesPopLikeABinaryHeapOverPairs) {
     const Entry want = binary.top();
     binary.pop();
     ASSERT_EQ(radix.pop(), want) << "step " << step;
-    ASSERT_EQ(any_order.pop().first, want.first) << "step " << step;
+    popped_any_order.push_back(any_order.pop());
+    ASSERT_EQ(popped_any_order.back().first, want.first) << "step " << step;
+    popped_binary.push_back(want);
     last = want.first;
   }
-  EXPECT_EQ(radix.empty(), binary.empty());
+  for (; !binary.empty(); binary.pop()) {
+    ASSERT_EQ(radix.pop(), binary.top());
+    popped_binary.push_back(binary.top());
+    popped_any_order.push_back(any_order.pop());
+  }
+  EXPECT_TRUE(radix.empty());
+  EXPECT_TRUE(any_order.empty());
+  std::sort(popped_binary.begin(), popped_binary.end());
+  std::sort(popped_any_order.begin(), popped_any_order.end());
+  EXPECT_EQ(popped_any_order, popped_binary);
+}
+
+// A key below the last popped one, such as a distance sum that wrapped to
+// a negative value, has no bucket: the heap refuses it, in either mode.
+TEST(RadixHeap, KeyBelowTheLastPoppedThrows) {
+  for (const bool order_ties : {true, false}) {
+    RadixHeap heap(order_ties);
+    EXPECT_THROW(heap.push(-1, 0), util::CheckError);
+    heap.push(5, 0);
+    EXPECT_EQ(heap.pop(), (RadixHeap::Entry{5, 0}));
+    EXPECT_THROW(heap.push(4, 1), util::CheckError);
+    EXPECT_THROW(heap.push(std::numeric_limits<std::int64_t>::min(), 1),
+                 util::CheckError);
+    EXPECT_TRUE(heap.empty());
+  }
 }
 
 TEST(DijkstraWithPotentials, JohnsonReweighting) {
