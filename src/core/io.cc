@@ -1,7 +1,10 @@
 #include "core/io.h"
 
+#include <algorithm>
 #include <fstream>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 
 #include "graph/io.h"
 #include "util/check.h"
@@ -17,19 +20,21 @@ void write_instance(std::ostream& os, const Instance& inst) {
 
 namespace {
 
-// Single pass over the stream: graph lines go to the incremental parser,
+// Single pass over the input: graph lines go to the incremental parser,
 // the 'q' query line is handled here — all with real line numbers, so a
 // malformed token anywhere reports "line N, column C" of the original
-// stream (the old implementation buffered graph lines into a second
-// stream and lost the positions).
-Instance read_instance_impl(std::istream& is, std::string_view context) {
+// input. The parser knows the input's size, so a 'p' line cannot declare
+// more vertices than the input has bytes.
+Instance read_instance_impl(std::string_view text, std::string_view context) {
   Instance inst;
-  graph::GraphParser parser(context);
-  std::string line;
+  graph::GraphParser parser(context, text.size());
   int line_number = 0;
   bool have_query = false;
   int query_line = 0;
-  while (std::getline(is, line)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    const std::size_t end = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, end - pos);
+    pos = end + 1;
     ++line_number;
     graph::FieldScanner peek(line, line_number, context);
     if (peek.at_end()) continue;
@@ -61,9 +66,15 @@ Instance read_instance_impl(std::istream& is, std::string_view context) {
   return inst;
 }
 
+std::string read_all(std::istream& is) {
+  return {std::istreambuf_iterator<char>(is), std::istreambuf_iterator<char>()};
+}
+
 }  // namespace
 
-Instance read_instance(std::istream& is) { return read_instance_impl(is, ""); }
+Instance read_instance(std::istream& is) {
+  return read_instance_impl(read_all(is), "");
+}
 
 void write_instance_file(const std::string& path, const Instance& inst) {
   std::ofstream os(path);
@@ -74,7 +85,7 @@ void write_instance_file(const std::string& path, const Instance& inst) {
 Instance read_instance_file(const std::string& path) {
   std::ifstream is(path);
   KRSP_CHECK_MSG(is.good(), "cannot open for read: " << path);
-  return read_instance_impl(is, path);
+  return read_instance_impl(read_all(is), path);
 }
 
 void write_paths(std::ostream& os, const PathSet& paths) {

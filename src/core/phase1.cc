@@ -5,6 +5,7 @@
 
 #include "flow/disjoint.h"
 #include "obs/trace.h"
+#include "paths/dijkstra.h"
 
 namespace krsp::core {
 
@@ -35,15 +36,19 @@ Phase1Result phase1_lagrangian(const Instance& inst,
 
   // Once per run: each vertex's cost and delay distance to t, which make
   // every MCMF search an A* toward t.
-  flow::SinkDistances sink(inst.graph, inst.t);
+  const flow::SinkDistances sink{
+      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::cost()),
+      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::delay())};
 
+  std::optional<flow::McfWorkspace> local;
+  if (ws == nullptr) ws = &local.emplace();
   const auto kflow = [&](std::int64_t w_cost,
                          std::int64_t w_delay) -> std::optional<Candidate> {
     ++out.mcmf_calls;
     auto f = flow::min_weight_disjoint_paths(inst.graph, inst.s, inst.t,
                                              inst.k, w_cost, w_delay, ws,
                                              &sink);
-    out.vertices_settled = sink.vertices_settled();
+    out.vertices_settled += ws->vertices_settled();
     if (!f) return std::nullopt;
     return Candidate{std::move(*f)};
   };

@@ -66,10 +66,10 @@ struct Phase1Result {
 /// for overflow, then computes every vertex's cost and delay distance to t
 /// (two reverse Dijkstras); under the weight q·cost + p·delay,
 /// q·dist_cost(v) + p·dist_delay(v) is a consistent lower bound on v's
-/// weight to t, so each MCMF search runs as an A* toward t. `ws`
-/// (optional) reuses one min-cost-flow network across all LARAC
-/// iterations and across solves, its topology checked in each call's
-/// re-pricing pass; results are identical with or without it.
+/// weight to t, so each MCMF search runs as an A* toward t. One
+/// min-cost-flow network serves all LARAC iterations: `ws` (optional) keeps
+/// it across solves too, its topology checked in each call's re-pricing
+/// pass; without it the run uses its own. Results are identical either way.
 Phase1Result phase1_lagrangian(const Instance& inst,
                                const util::Deadline& deadline = {},
                                flow::McfWorkspace* ws = nullptr);

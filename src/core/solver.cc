@@ -15,6 +15,19 @@ graph::Cost ceil_of(const util::Rational& r) {
   return (r.num() + r.den() - 1) / r.den();
 }
 
+/// Phase 1 gets this fraction of the remaining budget; the rest funds the
+/// cancellation and guess loops. Phase 1's feasibility answers stay exact
+/// regardless (its two bracketing flows always run).
+constexpr double kPhase1DeadlineFraction = 0.4;
+
+util::Deadline phase1_deadline(const util::Deadline& total) {
+  if (!total.bounded()) return total;
+  const double remaining = std::max(0.0, total.remaining_seconds());
+  return total.clipped_after_seconds(remaining * kPhase1DeadlineFraction);
+}
+
+}  // namespace
+
 Solution from_phase1(const Phase1Result& p1) {
   Solution s;
   s.telemetry.phase1_mcmf_calls = p1.mcmf_calls;
@@ -42,19 +55,6 @@ Solution from_phase1(const Phase1Result& p1) {
   s.delay = p1.delay;
   return s;
 }
-
-/// Phase 1 gets this fraction of the remaining budget; the rest funds the
-/// cancellation and guess loops. Phase 1's feasibility answers stay exact
-/// regardless (its two bracketing flows always run).
-constexpr double kPhase1DeadlineFraction = 0.4;
-
-util::Deadline phase1_deadline(const util::Deadline& total) {
-  if (!total.bounded()) return total;
-  const double remaining = std::max(0.0, total.remaining_seconds());
-  return total.clipped_after_seconds(remaining * kPhase1DeadlineFraction);
-}
-
-}  // namespace
 
 const char* degradation_step_name(DegradationStep step) {
   switch (step) {

@@ -99,6 +99,12 @@ struct Solution {
   }
 };
 
+/// Phase 1's answer as a Solution: its status (kApprox also when the delay
+/// exceeds D), paths, cost and delay, and its telemetry (MCMF calls,
+/// vertices settled, λ*, the LP bound on C_OPT, deadline expiry,
+/// phase1_was_optimal). The solver and the phase-1 baselines start from it.
+Solution from_phase1(const Phase1Result& p1);
+
 struct SolveWorkspace;
 
 class KrspSolver {

@@ -5,7 +5,7 @@
 // negative weight encountered) so combined-weight callers (q·cost + p·delay)
 // fail loudly instead of silently mis-routing.
 //
-// RadixHeap is the queue of these searches and of flow::MinCostFlow's: it
+// RadixHeap is the queue of these searches and of flow::McfWorkspace's: it
 // can pop in the order of a binary heap over (key, vertex) pairs, with far
 // fewer unpredictable branches.
 #pragma once
@@ -60,18 +60,11 @@ ShortestPathTree dijkstra(const graph::Digraph& g, graph::VertexId source,
                           const EdgeWeight& w);
 
 /// Dijkstra toward `target` over in_edges (all edges must have w(e) >= 0):
-/// dist[v] is the least weight of a v→target path, kUnreachable if there is
-/// none; parent[v] is the first edge of one such path (kInvalidEdge at the
-/// target and where unreached). path_to() does not apply to this tree.
-ShortestPathTree dijkstra_to(const graph::Digraph& g, graph::VertexId target,
-                             const EdgeWeight& w);
-
-/// Dijkstra with per-vertex potentials (Johnson reweighting): effective
-/// weight w(e) + pot[from] - pot[to] must be >= 0. Returned dist is in the
-/// *reweighted* space; callers translate back.
-ShortestPathTree dijkstra_with_potentials(
-    const graph::Digraph& g, graph::VertexId source, const EdgeWeight& w,
-    const std::vector<std::int64_t>& potential);
+/// entry v is the least weight of a v→target path, kUnreachable if there is
+/// none.
+std::vector<std::int64_t> dijkstra_to(const graph::Digraph& g,
+                                      graph::VertexId target,
+                                      const EdgeWeight& w);
 
 /// Min-priority queue of (key, vertex) entries for a search whose keys are
 /// >= 0 and never fall below the last popped key, as in Dijkstra with

@@ -134,6 +134,37 @@ TEST(ChaosTransport, GarbageFrameGetsErrorResponseAndConnectionSurvives) {
   EXPECT_TRUE(pong->get_bool("pong", false));
 }
 
+// A v1 instance whose 'p' line declares more vertices than the instance
+// has bytes gets a structured error before anything is sized (a million
+// declared vertices used to cost the daemon about 95 MiB), and the same
+// connection goes on serving.
+TEST(ChaosTransport, HugeVertexCountGetsErrorAndConnectionSurvives) {
+  ChaosServer fixture;
+  std::string error;
+  FdStream stream(connect_unix(fixture.path(), &error));
+  ASSERT_TRUE(stream.connected()) << error;
+  const std::string instance = "p krsp 1000000 0\nq 0 1 1 5\n";
+  const std::string line = wire::ObjectWriter()
+                               .field("op", "solve")
+                               .field("id", "huge-n")
+                               .field("instance", instance)
+                               .field("mode", "phase1")
+                               .done();
+  ASSERT_TRUE(stream.send(line + "\n", &error));
+  const auto resp = wire::parse(ChaosServer::read_line(stream));
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_FALSE(resp->get_bool("ok", true));
+  EXPECT_EQ(resp->get_string("error"),
+            "bad instance: line 1, column 17: vertex count 1000000 exceeds the "
+            "input size (27 bytes)");
+
+  ASSERT_TRUE(stream.send("{\"op\":\"ping\"}\n", &error));
+  const auto pong = wire::parse(ChaosServer::read_line(stream));
+  ASSERT_TRUE(pong.has_value());
+  EXPECT_TRUE(pong->get_bool("pong", false));
+  EXPECT_EQ(fixture.service().stats().received, 0u);
+}
+
 TEST(ChaosTransport, TruncatedFrameThenCloseIsDiscardedServerStaysUp) {
   ChaosServer fixture;
   const std::string line = solve_line(small_instance(31), "trunc-1");

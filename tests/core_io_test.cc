@@ -99,6 +99,31 @@ TEST(InstanceIo, QueryFieldsPastInt32AreRejectedNotWrapped) {
   EXPECT_EQ(k, "line 4, column 7: path count k 4294967297 overflows 32 bits");
 }
 
+// A 'p' line cannot declare more vertices than the input has bytes; the
+// error comes before the graph is sized (a million declared vertices used
+// to allocate about 95 MiB for this 27-byte input). The bound is inclusive.
+TEST(InstanceIo, VertexCountPastTheInputSizeIsRejectedBeforeSizing) {
+  const std::string text = "p krsp 1000000 0\nq 0 1 1 5\n";
+  const std::string want =
+      "line 1, column 17: vertex count 1000000 exceeds the input size (27 "
+      "bytes)";
+  EXPECT_EQ(error_message([&] {
+              std::stringstream ss(text);
+              (void)read_instance(ss);
+            }),
+            want);
+  const std::string path = testing::TempDir() + "/krsp_many_vertices.kri";
+  std::ofstream(path) << text;
+  EXPECT_EQ(error_message([&] { (void)read_instance_file(path); }),
+            path + ": " + want);
+
+  std::string at_bound = "p krsp 40 0\nq 0 1 1 5\nc ";
+  at_bound += std::string(40 - at_bound.size() - 1, 'x') + "\n";
+  ASSERT_EQ(at_bound.size(), 40u);
+  std::stringstream ss(at_bound);
+  EXPECT_EQ(read_instance(ss).graph.num_vertices(), 40);
+}
+
 TEST(InstanceIo, DuplicateQueryLineNamesTheFirst) {
   const std::string msg = error_message([] {
     std::stringstream ss("p krsp 2 1\na 0 1 1 1\nq 0 1 1 5\nq 0 1 1 5\n");

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "baselines/brute_force.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -105,6 +107,12 @@ struct SweepParam {
   double slack;
   const char* name;
 };
+
+// Without this gtest prints a SweepParam as its raw bytes, the name
+// pointer's included, and the ctest names change from build to build.
+void PrintTo(const SweepParam& param, std::ostream* os) {
+  *os << param.name << " (slack " << param.slack << ")";
+}
 
 class SolverGuaranteeSweep : public testing::TestWithParam<SweepParam> {};
 

@@ -10,7 +10,6 @@
 #include "baselines/brute_force.h"
 #include "core/solver.h"
 #include "flow/dinic.h"
-#include "flow/min_cost_flow.h"
 #include "graph/generators.h"
 #include "paths/pareto.h"
 #include "paths/rsp.h"
@@ -160,15 +159,6 @@ TEST(EdgeCases, FptasVsParetoAtMediumSize) {
               1.25 * static_cast<double>(exact->cost) + 1e-9);
   }
   EXPECT_GT(compared, 3);
-}
-
-TEST(EdgeCases, McfHandlesZeroCapacityArcs) {
-  flow::MinCostFlow mcf(2);
-  mcf.add_arc(0, 1, 0, 1);  // useless arc
-  mcf.add_arc(0, 1, 1, 5);
-  const auto cost = mcf.solve(0, 1, 1);
-  ASSERT_TRUE(cost.has_value());
-  EXPECT_EQ(*cost, 5);
 }
 
 TEST(EdgeCases, HugeWeightsNoOverflow) {

@@ -81,9 +81,9 @@ TEST(Decompose, PropertyPartitionOfMinCostFlows) {
   for (int trial = 0; trial < 25; ++trial) {
     const auto g = gen::erdos_renyi(rng, 12, 0.3);
     for (const int k : {1, 2, 3}) {
-      const auto f = min_weight_unit_flow(g, 0, 11, k, 1, 1);
+      const auto f = McfWorkspace().min_weight_flow(g, 0, 11, k, 1, 1);
       if (!f) continue;
-      const auto d = decompose_unit_flow(g, f->edges, 0, 11, k);
+      const auto d = decompose_unit_flow(g, *f, 0, 11, k);
       EXPECT_EQ(static_cast<int>(d.paths.size()), k);
       std::set<EdgeId> seen;
       std::size_t total = 0;
@@ -96,7 +96,7 @@ TEST(Decompose, PropertyPartitionOfMinCostFlows) {
         total += c.size();
         for (const EdgeId e : c) EXPECT_TRUE(seen.insert(e).second);
       }
-      EXPECT_EQ(total, f->edges.size());
+      EXPECT_EQ(total, f->size());
     }
   }
 }

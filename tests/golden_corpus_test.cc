@@ -9,12 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 
 #include "api/krsp.h"
 #include "core/instance.h"
 #include "core/phase1.h"
+#include "core/solver.h"
+#include "flow/min_cost_flow.h"
 #include "store/container.h"
 #include "util/rng.h"
 
@@ -48,6 +51,48 @@ TEST(GoldenCorpus, IspBackboneCancellationMatchesRecordedOutputs) {
     EXPECT_EQ(api::status_name(result.status), status) << line;
     EXPECT_EQ(result.cost, cost) << line;
     EXPECT_EQ(result.delay, delay) << line;
+    ++queries;
+  }
+  EXPECT_EQ(queries, 64);
+}
+
+// Golden phase-1 outputs on the big corpus topologies: 32 queries each on
+// road-grid64 and scalefree-ba4000 with k = 2 and D as perfbench's
+// grid-phase1 sets it, each one's min-cost 2-flow missing D so that LARAC
+// runs, must reproduce the (status, cost, delay) recorded in
+// data/golden/grid-phase1.txt, through one reused McfWorkspace and through
+// none.
+TEST(GoldenCorpus, BigTopologyPhase1MatchesRecordedOutputs) {
+  std::ifstream in(KRSP_DATA_DIR "/golden/grid-phase1.txt");
+  ASSERT_TRUE(in.good());
+  std::map<std::string, api::Instance> bases;
+  flow::McfWorkspace ws;
+  int queries = 0;
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') continue;
+    std::istringstream fields(line);
+    std::string id;
+    std::string status;
+    api::Instance query;
+    graph::Cost cost = 0;
+    graph::Delay delay = 0;
+    ASSERT_TRUE(fields >> id >> query.s >> query.t >> query.k >>
+                query.delay_bound >> status >> cost >> delay)
+        << line;
+    auto it = bases.find(id);
+    if (it == bases.end()) {
+      const std::string path = std::string(KRSP_DATA_DIR) + "/corpus/" + id +
+                               ".krspb";
+      it = bases.emplace(id, store::CsrContainer::open(path).instance()).first;
+    }
+    query.graph = it->second.graph;
+    for (flow::McfWorkspace* w : {&ws, static_cast<decltype(&ws)>(nullptr)}) {
+      const core::Phase1Result p1 = core::phase1_lagrangian(query, {}, w);
+      EXPECT_EQ(api::status_name(core::from_phase1(p1).status), status)
+          << line;
+      EXPECT_EQ(p1.cost, cost) << line;
+      EXPECT_EQ(p1.delay, delay) << line;
+    }
     ++queries;
   }
   EXPECT_EQ(queries, 64);

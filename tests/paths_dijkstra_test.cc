@@ -85,8 +85,7 @@ TEST(Dijkstra, PropertyAgreesWithBellmanFord) {
 }
 
 // Distances toward a target over in_edges equal distances from it on the
-// reversed graph, unreached vertices included, and each parent edge leaves
-// its vertex on a shortest path.
+// reversed graph, unreached vertices included.
 TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
   util::Rng rng(107);
   for (int trial = 0; trial < 30; ++trial) {
@@ -94,18 +93,7 @@ TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
     const Digraph reversed = g.reversed();
     for (const auto& w : {EdgeWeight::cost(), EdgeWeight::combined(3, 2)}) {
       const VertexId target = static_cast<VertexId>(trial % 15);
-      const auto to = dijkstra_to(g, target, w);
-      const auto from = dijkstra(reversed, target, w);
-      EXPECT_EQ(to.dist, from.dist);
-      for (VertexId v = 0; v < g.num_vertices(); ++v) {
-        if (v == target || !to.reached(v)) {
-          EXPECT_EQ(to.parent[v], graph::kInvalidEdge);
-          continue;
-        }
-        const auto& e = g.edge(to.parent[v]);
-        EXPECT_EQ(e.from, v);
-        EXPECT_EQ(to.dist[v], w(e) + to.dist[e.to]);
-      }
+      EXPECT_EQ(dijkstra_to(g, target, w), dijkstra(reversed, target, w).dist);
     }
   }
 }
@@ -166,26 +154,6 @@ TEST(RadixHeap, KeyBelowTheLastPoppedThrows) {
                  util::CheckError);
     EXPECT_TRUE(heap.empty());
   }
-}
-
-TEST(DijkstraWithPotentials, JohnsonReweighting) {
-  // Graph with a negative edge made non-negative by valid potentials.
-  Digraph g(3);
-  g.add_edge(0, 1, 4, 0);
-  g.add_edge(1, 2, -2, 0);
-  // potentials: pi[0]=0, pi[1]=4, pi[2]=2 -> reduced costs 0 and 0.
-  const std::vector<std::int64_t> pot{0, 4, 2};
-  const auto tree = dijkstra_with_potentials(g, 0, EdgeWeight::cost(), pot);
-  // Reduced distance + pi[t] - pi[s] = true distance.
-  EXPECT_EQ(tree.dist[2] + pot[2] - pot[0], 2);
-}
-
-TEST(DijkstraWithPotentials, InvalidPotentialsThrow) {
-  Digraph g(2);
-  g.add_edge(0, 1, -5, 0);
-  const std::vector<std::int64_t> pot{0, 0};
-  EXPECT_THROW(dijkstra_with_potentials(g, 0, EdgeWeight::cost(), pot),
-               util::CheckError);
 }
 
 TEST(ShortestPathTree, PathToSourceIsEmpty) {

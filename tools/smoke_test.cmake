@@ -74,18 +74,27 @@ foreach(case "SOLVE;--help" "PACK;info;x" "SOLVE;--eps1=abc"
 endforeach()
 
 # An unreadable or malformed input file prints the error and exits 1
-# (never std::terminate): a missing file, and a vertex count past int32,
-# which must not wrap into a different valid instance.
+# (never std::terminate): a missing file, a vertex count past int32, which
+# must not wrap into a different valid instance, and a vertex count past
+# the file's size, which must be refused before anything is sized.
 set(malformed "${WORK_DIR}/malformed.kri")
 file(WRITE ${malformed} "p krsp 4294967299 2\n")
+set(too_many "${WORK_DIR}/too_many_vertices.kri")
+file(WRITE ${too_many} "p krsp 1000000 0\nq 0 1 1 5\n")
+set(file_errors
+    "line 1, column 8: vertex count 4294967299 overflows 32 bits"
+    "cannot open"
+    "line 1, column 17: vertex count 1000000 exceeds the input size \\(27 bytes\\)")
+list(JOIN file_errors "|" file_errors)
 foreach(case "SOLVE;--instance=${malformed}" "BATCH;--instances=${malformed}"
-             "SOLVE;--instance=${WORK_DIR}/no_such_file.kri")
+             "SOLVE;--instance=${WORK_DIR}/no_such_file.kri"
+             "SOLVE;--instance=${too_many}"
+             "PACK;--in=${too_many};--out=${WORK_DIR}/too_many_vertices.krspb")
   list(POP_FRONT case tool)
   execute_process(
     COMMAND ${KRSP_${tool}} ${case}
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 1 OR NOT err MATCHES
-     "line 1, column 8: vertex count 4294967299 overflows 32 bits|cannot open")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${file_errors}")
     message(FATAL_ERROR "bad input file '${case}' gave (${rc}): ${out}${err}")
   endif()
 endforeach()
