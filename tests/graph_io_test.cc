@@ -130,6 +130,27 @@ TEST(GraphIo, CountsPastInt32AreRejectedNotWrapped) {
   EXPECT_EQ(m, "line 1, column 10: edge count 4294967298 overflows 32 bits");
 }
 
+// A 'p' line may declare at most as many vertices as the input has bytes,
+// so the graph is never sized past the input.
+TEST(GraphIo, VertexCountPastTheInputSizeIsRejected) {
+  const std::string text = "p krsp 1000000 0\n";
+  const std::string want =
+      "line 1, column 17: vertex count 1000000 exceeds the input size (17 "
+      "bytes)";
+  EXPECT_EQ(error_message([&] {
+              std::stringstream ss(text);
+              (void)read_graph(ss);
+            }),
+            want);
+  const std::string path = testing::TempDir() + "/krsp_many_vertices.gr";
+  std::ofstream(path) << text;
+  EXPECT_EQ(error_message([&] { (void)read_graph_file(path); }),
+            path + ": " + want);
+
+  std::stringstream at_bound("p krsp 11 0\n");
+  EXPECT_EQ(read_graph(at_bound).num_vertices(), 11);
+}
+
 TEST(GraphIo, SemanticErrorsArePositionedToo) {
   const std::string out_of_range = error_message([] {
     std::stringstream ss("p krsp 3 1\na 0 7 1 1\n");
