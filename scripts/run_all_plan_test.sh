@@ -4,11 +4,23 @@
 # committed corpus exists, and must be skipped cleanly — not abort the
 # sweep under `set -e` — when it does not.
 #
-#   usage: run_all_plan_test.sh <repo-root>
+# The plan lists the benches under <root>/build/bench, while the tree
+# under test may be configured anywhere: the script runs from a temporary
+# root whose build/bench is that tree's bench directory and whose corpus
+# is the repo's.
+#
+#   usage: run_all_plan_test.sh <repo-root> <bench-dir>
 set -eu
 
 ROOT="$1"
-SCRIPT="$ROOT/scripts/run_all_experiments.sh"
+BENCH_DIR="$2"
+WORK="$(mktemp -d)"
+trap 'rm -rf "$WORK"' EXIT
+mkdir -p "$WORK/scripts" "$WORK/build" "$WORK/data"
+ln -s "$ROOT/scripts/run_all_experiments.sh" "$WORK/scripts/"
+ln -s "$BENCH_DIR" "$WORK/build/bench"
+ln -s "$ROOT/data/corpus" "$WORK/data/corpus"
+SCRIPT="$WORK/scripts/run_all_experiments.sh"
 
 PLAN="$("$SCRIPT" --plan)"
 for bench in bench_catalog bench_fleet; do

@@ -64,7 +64,7 @@ const char* status_name(SolveStatus status) {
 }
 
 core::Instance SolveRequest::materialized_instance() const {
-  core::Instance inst = instance_view();  // O(m) graph copy
+  core::Instance inst = instance_view();  // shares the graph's storage
   if (topology != nullptr && query_override) {
     inst.s = query_override->s;
     inst.t = query_override->t;
@@ -100,9 +100,10 @@ SolveResult solve_request(const SolveRequest& request,
   try {
     const core::KrspSolver solver(to_solver_options(request));
     // A pending query override materializes here — the first (and only)
-    // point that needs the concrete instance. Cache hits and routing
-    // decisions upstream key on the override symbolically and never pay
-    // this copy. A bad override throws and lands in the catch below.
+    // point that needs the concrete instance; its graph shares the
+    // catalog's storage. Cache hits and routing decisions upstream key on
+    // the override symbolically and never materialize it. A bad override
+    // throws and lands in the catch below.
     const bool deferred =
         request.topology != nullptr && request.query_override.has_value();
     const core::Instance materialized =

@@ -126,10 +126,12 @@ struct TopologyRef {
 
 /// A deferred query override for topology-referencing requests: the four
 /// query fields to apply on top of `topology->instance`'s graph. Kept
-/// symbolic instead of eagerly copying the instance so the serving hot
-/// path stays O(1) — fingerprints mix these values directly after the
-/// stored graph prefix, and the O(m) graph copy happens only when a solve
-/// actually runs (a cache hit or a routing decision never pays it).
+/// symbolic so the serving hot path stays O(1) — fingerprints mix these
+/// values directly after the stored graph prefix, and the instance is
+/// built only when a solve actually runs (a cache hit or a routing
+/// decision never pays for it). Even then the graph is not copied: the
+/// built instance shares the catalog graph's storage (graph::Digraph
+/// copies share).
 struct QueryOverride {
   graph::VertexId s = 0;
   graph::VertexId t = 0;
@@ -193,10 +195,12 @@ struct SolveRequest {
     return QueryOverride{inst.s, inst.t, inst.k, inst.delay_bound};
   }
 
-  /// Folds a pending override into a concrete Instance (an O(m) graph
-  /// copy) and validates it. Call only when the solve actually runs —
-  /// cache hits and ring-key computation never need it. Throws
-  /// util::CheckError if the override breaks instance invariants.
+  /// Folds a pending override into a concrete Instance and validates it.
+  /// The instance shares the topology's graph storage, so the copy is
+  /// O(1) and the validation one O(m) pass over the edges. Call only when
+  /// the solve actually runs — cache hits and ring-key computation never
+  /// need it. Throws util::CheckError if the override breaks instance
+  /// invariants.
   [[nodiscard]] Instance materialized_instance() const;
 };
 

@@ -5,6 +5,7 @@
 #include <iterator>
 #include <sstream>
 #include <string_view>
+#include <vector>
 
 #include "graph/io.h"
 #include "util/check.h"
@@ -24,13 +25,22 @@ namespace {
 // the 'q' query line is handled here — all with real line numbers, so a
 // malformed token anywhere reports "line N, column C" of the original
 // input. The parser knows the input's size, so a 'p' line cannot declare
-// more vertices than the input has bytes.
+// more vertices than the input has bytes. The instance's own invariants
+// are checked last and name a line too: a negative weight its arc's line,
+// anything else the query line.
 Instance read_instance_impl(std::string_view text, std::string_view context) {
   Instance inst;
   graph::GraphParser parser(context, text.size());
   int line_number = 0;
   bool have_query = false;
   int query_line = 0;
+  std::vector<int> arc_lines;  // by edge id
+  const auto fail_at = [&](int line, const std::string& why) {
+    std::ostringstream os;
+    if (!context.empty()) os << context << ": ";
+    os << "line " << line << ": " << why;
+    throw util::CheckError(os.str());
+  };
   for (std::size_t pos = 0; pos < text.size();) {
     const std::size_t end = std::min(text.find('\n', pos), text.size());
     const std::string_view line = text.substr(pos, end - pos);
@@ -38,8 +48,10 @@ Instance read_instance_impl(std::string_view text, std::string_view context) {
     ++line_number;
     graph::FieldScanner peek(line, line_number, context);
     if (peek.at_end()) continue;
-    if (peek.kind() != 'q') {
+    const char kind = peek.kind();
+    if (kind != 'q') {
       parser.consume(line, line_number);
+      if (kind == 'a') arc_lines.push_back(line_number);
       continue;
     }
     // peek consumed the 'q'; continue scanning the same line.
@@ -55,13 +67,26 @@ Instance read_instance_impl(std::string_view text, std::string_view context) {
     query_line = line_number;
   }
   inst.graph = parser.finish();
-  if (!have_query) {
-    std::ostringstream os;
-    if (!context.empty()) os << context << ": ";
-    os << "line " << line_number << ": instance stream missing the query "
-       << "('q') line";
-    throw util::CheckError(os.str());
-  }
+  if (!have_query)
+    fail_at(line_number, "instance stream missing the query ('q') line");
+  const auto edges = inst.graph.edges();
+  for (std::size_t e = 0; e < edges.size(); ++e)
+    if (edges[e].cost < 0 || edges[e].delay < 0)
+      fail_at(arc_lines[e], "negative arc cost or delay");
+  const std::string vertices =
+      " out of range (graph has " +
+      std::to_string(inst.graph.num_vertices()) + " vertices)";
+  if (!inst.graph.is_vertex(inst.s))
+    fail_at(query_line, "source vertex " + std::to_string(inst.s) + vertices);
+  if (!inst.graph.is_vertex(inst.t))
+    fail_at(query_line, "target vertex " + std::to_string(inst.t) + vertices);
+  if (inst.s == inst.t)
+    fail_at(query_line, "source and target are the same vertex");
+  if (inst.k < 1)
+    fail_at(query_line, "path count k " + std::to_string(inst.k) + " below 1");
+  if (inst.delay_bound < 0)
+    fail_at(query_line,
+            "delay bound " + std::to_string(inst.delay_bound) + " below 0");
   inst.validate();
   return inst;
 }

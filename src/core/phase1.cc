@@ -34,11 +34,13 @@ Phase1Result phase1_lagrangian(const Instance& inst,
   const graph::Cost cost_sum = inst.graph.total_cost();
   const graph::Delay delay_sum = inst.graph.total_delay();
 
-  // Once per run: each vertex's cost and delay distance to t, which make
-  // every MCMF search an A* toward t.
+  // Once per run: each vertex's cost and delay distance to t, exact up to
+  // s's and capped beyond it, which make every MCMF search an A* toward t.
   const flow::SinkDistances sink{
-      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::cost()),
-      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::delay())};
+      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::cost(),
+                         inst.s),
+      paths::dijkstra_to(inst.graph, inst.t, paths::EdgeWeight::delay(),
+                         inst.s)};
 
   std::optional<flow::McfWorkspace> local;
   if (ws == nullptr) ws = &local.emplace();

@@ -64,9 +64,10 @@ struct Phase1Result {
 /// so feasibility answers (kOptimal/kInfeasible/kNoKDisjointPaths) are
 /// exact regardless of the budget. Each run first checks Σcost and Σdelay
 /// for overflow, then computes every vertex's cost and delay distance to t
-/// (two reverse Dijkstras); under the weight q·cost + p·delay,
-/// q·dist_cost(v) + p·dist_delay(v) is a consistent lower bound on v's
-/// weight to t, so each MCMF search runs as an A* toward t. One
+/// (two reverse Dijkstras, each stopped past s, so a distance beyond s's
+/// reads as the search's bound B: paths::dijkstra_to); under the weight
+/// q·cost + p·delay, q·dist_cost(v) + p·dist_delay(v) is a consistent lower
+/// bound on v's weight to t, so each MCMF search runs as an A* toward t. One
 /// min-cost-flow network serves all LARAC iterations: `ws` (optional) keeps
 /// it across solves too, its topology checked in each call's re-pricing
 /// pass; without it the run uses its own. Results are identical either way.

@@ -4,15 +4,31 @@
 #include <limits>
 #include <utility>
 
+#include "obs/metrics.h"
+
 namespace krsp::flow {
 
 namespace {
 
 constexpr std::int64_t kInf = std::numeric_limits<std::int64_t>::max();
-// Potential of a vertex that cannot reach t: the search never enters it.
+// Potential of a vertex known not to reach t: the search never enters it.
 constexpr std::int64_t kDead = kInf;
 // Goal-directed potentials need W <= this bound (see the header).
 constexpr std::int64_t kGoalDirectedWeightLimit = kInf / 4;
+
+// Resolved once: the registry lookup is get-or-create under a mutex, too
+// heavy for every call.
+obs::Counter& calls_metric() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("krsp_mcmf_calls_total");
+  return c;
+}
+
+obs::Counter& network_builds_metric() {
+  static obs::Counter& c =
+      obs::Registry::global().counter("krsp_mcmf_network_builds_total");
+  return c;
+}
 
 std::int64_t arc_weight(const graph::Edge& edge, std::int64_t w_cost,
                         std::int64_t w_delay) {
@@ -46,6 +62,7 @@ bool McfWorkspace::reprice(const graph::Digraph& g, std::int64_t w_cost,
 
 void McfWorkspace::build(const graph::Digraph& g) {
   ++rebuilds_;
+  network_builds_metric().inc();
   // first_ stays empty until the layout is complete, so a build cut short
   // leaves no network for the next call to reuse.
   first_.clear();
@@ -91,6 +108,7 @@ std::optional<std::vector<graph::EdgeId>> McfWorkspace::min_weight_flow(
   KRSP_CHECK(sink == nullptr || (static_cast<int>(sink->cost.size()) == n &&
                                  static_cast<int>(sink->delay.size()) == n));
   settled_ = 0;
+  calls_metric().inc();
   if (reprice(g, w_cost, w_delay)) {
     ++reuse_hits_;
   } else {
@@ -117,9 +135,9 @@ std::optional<std::vector<graph::EdgeId>> McfWorkspace::min_weight_flow(
                    "sink distances of t must be 0");
     // h(v) = w_cost·dist_cost(v) + w_delay·dist_delay(v): each term is a
     // consistent lower bound under its own weight, so their sum is one under
-    // the combined weight. A vertex that cannot reach t, or whose h
-    // overflows or exceeds W (neither happens on a vertex that can reach
-    // t), is dead.
+    // the combined weight. A vertex whose cost distance is kUnreachable, or
+    // whose h overflows or exceeds W, is dead: it cannot reach t (a vertex
+    // that can has h at most its weight to t, at most W).
     for (int v = 0; v < n; ++v) {
       std::int64_t by_cost = 0;
       std::int64_t by_delay = 0;

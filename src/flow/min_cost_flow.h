@@ -10,14 +10,19 @@
 // handled by the potentials).
 //
 // Goal direction: a caller that knows each vertex's cost and delay distance
-// to t (SinkDistances) passes them along; for the call's weights,
+// to t, or a consistent lower bound on it (SinkDistances; phase 1 passes
+// min(distance, B) from reverse searches stopped past s, see
+// paths::dijkstra_to), passes them along; for the call's weights,
 // h(v) = w_cost·dist_cost(v) + w_delay·dist_delay(v) is a consistent lower
 // bound on v's weight to t (h(u) <= weight(u,v) + h(v) on every arc,
 // h(t) = 0), and the potentials start at -h. Every search is then an A*
 // search toward t: it settles only vertices whose distance from s plus h
-// stays within the s→t distance, and it never enters a vertex that cannot
-// reach t (h above W marks those; no augmenting path can use them, because
-// flow only ever runs on arcs whose head reaches t). Without distances the
+// stays within the s→t distance, and it never enters a vertex known not to
+// reach t. Such a vertex is dead: its cost distance is kUnreachable (only a
+// reverse search that ran out gives that), or its h overflows or exceeds W.
+// A vertex that reaches t is never dead, because its h is at most its
+// weight to t, at most W; no augmenting path can use a dead vertex, because
+// flow only ever runs on arcs whose head reaches t. Without distances the
 // potentials start at 0.
 //
 // After a search stops at t with distance dist(t), each settled vertex's
@@ -26,8 +31,8 @@
 // constant dist(t), so reduced costs, and every result, are the same, while
 // the update touches only the vertices the search reached.
 //
-// Range argument, with W = Σ arc weights: h(v) <= W for a vertex that can
-// reach t (a simple path's weight); in the textbook update potentials start
+// Range argument, with W = Σ arc weights: h(v) <= W for every vertex that
+// is not dead (the rule above), so in the textbook update potentials start
 // in [-W, 0] and never fall, and none passes π(t), which equals the current
 // s→t distance minus h(s), in [0, W]; so they stay in [-W, W], and the
 // shifted potentials kept here, π(v) - π(t), in [-2W, 0]. Reduced costs lie
@@ -36,7 +41,8 @@
 // W <= INT64_MAX / 4 keeps all of it exact. Above that bound the distances
 // are ignored (h ≡ 0), potentials stay in [-W, 0] and reduced costs in
 // [-2W, 2W], and W <= INT64_MAX / 2 suffices; above that the network is
-// refused. h(v) itself is at most W, so it can only overflow when W does.
+// refused. h(v) of a vertex that reaches t is at most W, so it can only
+// overflow on a dead vertex or when W does.
 #pragma once
 
 #include <cstdint>
@@ -48,10 +54,11 @@
 
 namespace krsp::flow {
 
-/// Each vertex's cost distance and delay distance to one sink t
-/// (paths::kUnreachable where t cannot be reached), as two
-/// paths::dijkstra_to searches compute them. Phase 1 computes them once per
-/// run and passes them to every min_weight_flow call toward t.
+/// Each vertex's cost distance and delay distance to one sink t, or a
+/// consistent lower bound on it, paths::kUnreachable only where t cannot be
+/// reached: what two paths::dijkstra_to searches return. Phase 1 computes
+/// them once per run, stopped past s, and passes them to every
+/// min_weight_flow call toward t.
 struct SinkDistances {
   std::vector<graph::Cost> cost;
   std::vector<graph::Delay> delay;
@@ -61,7 +68,9 @@ struct SinkDistances {
 /// call on a graph with the same topology (the LARAC iteration, the batch
 /// engine's repeat solves) re-prices the arcs and checks the topology, arc
 /// by arc, in one pass, undoes only the previous call's augmentations, and
-/// allocates nothing; on any difference the network is rebuilt.
+/// allocates nothing; on any difference the network is rebuilt. Every
+/// call counts in the process-wide `krsp_mcmf_calls_total` metric and
+/// every network built in `krsp_mcmf_network_builds_total`.
 /// Not thread-safe; intended as per-thread state (core::SolveWorkspace).
 class McfWorkspace {
  public:
@@ -69,10 +78,10 @@ class McfWorkspace {
   /// s→t in which every edge of g carries at most one unit and weighs
   /// w_cost·cost(e) + w_delay·delay(e); nullopt if fewer than k
   /// edge-disjoint paths exist. `sink`, when given, holds t's distances on
-  /// g and makes every search goal-directed; it is ignored when W exceeds
-  /// INT64_MAX / 4. Throws util::CheckError when an edge weight is negative
-  /// or overflows, and when W overflows or exceeds INT64_MAX / 2, in that
-  /// order.
+  /// g (or consistent lower bounds on them) and makes every search
+  /// goal-directed; it is ignored when W exceeds INT64_MAX / 4. Throws
+  /// util::CheckError when an edge weight is negative or overflows, and
+  /// when W overflows or exceeds INT64_MAX / 2, in that order.
   std::optional<std::vector<graph::EdgeId>> min_weight_flow(
       const graph::Digraph& g, graph::VertexId s, graph::VertexId t, int k,
       std::int64_t w_cost, std::int64_t w_delay,

@@ -2,38 +2,46 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <memory>
 #include <sstream>
 
 namespace krsp::graph {
 
+void Digraph::clone() {
+  auto copy = data_ == nullptr ? std::make_unique<Storage>()
+                               : std::make_unique<Storage>(*data_);
+  release();
+  data_ = copy.release();
+}
+
 Cost Digraph::total_cost() const {
   Cost sum = 0;
-  for (const auto& e : edges_) sum = util::checked_add(sum, e.cost, "Σcost");
+  for (const auto& e : edges()) sum = util::checked_add(sum, e.cost, "Σcost");
   return sum;
 }
 
 Delay Digraph::total_delay() const {
   Delay sum = 0;
-  for (const auto& e : edges_)
+  for (const auto& e : edges())
     sum = util::checked_add(sum, e.delay, "Σdelay");
   return sum;
 }
 
 Cost Digraph::max_abs_cost() const {
   Cost best = 0;
-  for (const auto& e : edges_) best = std::max(best, std::abs(e.cost));
+  for (const auto& e : edges()) best = std::max(best, std::abs(e.cost));
   return best;
 }
 
 Delay Digraph::max_abs_delay() const {
   Delay best = 0;
-  for (const auto& e : edges_) best = std::max(best, std::abs(e.delay));
+  for (const auto& e : edges()) best = std::max(best, std::abs(e.delay));
   return best;
 }
 
 Digraph Digraph::reversed() const {
   Digraph r(num_vertices());
-  for (const auto& e : edges_) r.add_edge(e.to, e.from, e.cost, e.delay);
+  for (const auto& e : edges()) r.add_edge(e.to, e.from, e.cost, e.delay);
   return r;
 }
 

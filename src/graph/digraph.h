@@ -8,9 +8,11 @@
 // reuse the same type.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/check.h"
@@ -32,41 +34,63 @@ struct Edge {
   Delay delay = 0;
 };
 
+/// Copies are cheap and independent: a copy shares the graph's storage
+/// (one reference-counted block holding the edges and both adjacency
+/// lists) and never allocates; a mutator first clones the block when
+/// another graph shares it, so mutating one copy never changes another.
+/// Const access to any copies from any threads is safe; a mutator, as
+/// usual, needs exclusive access to the graph it mutates.
+/// Default-constructed and moved-from graphs are valid and empty.
 class Digraph {
  public:
   Digraph() = default;
   explicit Digraph(int num_vertices) { resize(num_vertices); }
+  Digraph(const Digraph& other) noexcept : data_(other.data_) {
+    if (data_ != nullptr) data_->refs.fetch_add(1, std::memory_order_relaxed);
+  }
+  Digraph(Digraph&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)) {}
+  Digraph& operator=(Digraph other) noexcept {
+    std::swap(data_, other.data_);
+    return *this;
+  }
+  ~Digraph() { release(); }
 
   /// Grow to at least `num_vertices` vertices.
   void resize(int num_vertices) {
     KRSP_CHECK(num_vertices >= 0);
-    if (num_vertices > static_cast<int>(out_.size())) {
-      out_.resize(num_vertices);
-      in_.resize(num_vertices);
+    if (num_vertices > this->num_vertices()) {
+      Storage& s = own();
+      s.out.resize(num_vertices);
+      s.in.resize(num_vertices);
     }
   }
 
   VertexId add_vertex() {
-    out_.emplace_back();
-    in_.emplace_back();
-    return static_cast<VertexId>(out_.size() - 1);
+    Storage& s = own();
+    s.out.emplace_back();
+    s.in.emplace_back();
+    return static_cast<VertexId>(s.out.size() - 1);
   }
 
   EdgeId add_edge(VertexId from, VertexId to, Cost cost, Delay delay) {
     KRSP_CHECK_MSG(is_vertex(from) && is_vertex(to),
                    "add_edge(" << from << "," << to << ") on graph with "
                                << num_vertices() << " vertices");
-    const auto id = static_cast<EdgeId>(edges_.size());
-    edges_.push_back(Edge{from, to, cost, delay});
-    out_[from].push_back(id);
-    in_[to].push_back(id);
+    Storage& s = own();
+    const auto id = static_cast<EdgeId>(s.edges.size());
+    s.edges.push_back(Edge{from, to, cost, delay});
+    s.out[from].push_back(id);
+    s.in[to].push_back(id);
     return id;
   }
 
   [[nodiscard]] int num_vertices() const {
-    return static_cast<int>(out_.size());
+    return data_ == nullptr ? 0 : static_cast<int>(data_->out.size());
   }
-  [[nodiscard]] int num_edges() const { return static_cast<int>(edges_.size()); }
+  [[nodiscard]] int num_edges() const {
+    return data_ == nullptr ? 0 : static_cast<int>(data_->edges.size());
+  }
 
   [[nodiscard]] bool is_vertex(VertexId v) const {
     return v >= 0 && v < num_vertices();
@@ -77,7 +101,7 @@ class Digraph {
 
   [[nodiscard]] const Edge& edge(EdgeId e) const {
     KRSP_DCHECK(is_edge(e));
-    return edges_[e];
+    return data_->edges[e];
   }
 
   /// Removes every edge but keeps the vertex set and — crucially — the
@@ -85,9 +109,11 @@ class Digraph {
   /// shape (residual graphs across cancellation iterations) reuses its
   /// buffers instead of reallocating.
   void clear_edges() {
-    edges_.clear();
-    for (auto& v : out_) v.clear();
-    for (auto& v : in_) v.clear();
+    if (data_ == nullptr) return;
+    Storage& s = own();
+    s.edges.clear();
+    for (auto& v : s.out) v.clear();
+    for (auto& v : s.in) v.clear();
   }
 
   /// Updates one edge's delay in place (live-network degradation events);
@@ -95,19 +121,22 @@ class Digraph {
   /// addressable.
   void set_edge_delay(EdgeId e, Delay delay) {
     KRSP_CHECK(is_edge(e));
-    edges_[e].delay = delay;
+    own().edges[e].delay = delay;
   }
 
   [[nodiscard]] std::span<const EdgeId> out_edges(VertexId v) const {
     KRSP_DCHECK(is_vertex(v));
-    return out_[v];
+    return data_->out[v];
   }
   [[nodiscard]] std::span<const EdgeId> in_edges(VertexId v) const {
     KRSP_DCHECK(is_vertex(v));
-    return in_[v];
+    return data_->in[v];
   }
 
-  [[nodiscard]] std::span<const Edge> edges() const { return edges_; }
+  [[nodiscard]] std::span<const Edge> edges() const {
+    if (data_ == nullptr) return {};
+    return data_->edges;
+  }
 
   [[nodiscard]] int out_degree(VertexId v) const {
     return static_cast<int>(out_edges(v).size());
@@ -133,9 +162,32 @@ class Digraph {
   [[nodiscard]] std::string summary() const;
 
  private:
-  std::vector<Edge> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
+  struct Storage {
+    Storage() = default;
+    Storage(const Storage& other)
+        : edges(other.edges), out(other.out), in(other.in) {}
+    std::atomic<int> refs{1};  // graphs sharing this block
+    std::vector<Edge> edges;
+    std::vector<std::vector<EdgeId>> out;
+    std::vector<std::vector<EdgeId>> in;
+  };
+
+  /// The storage, this graph's alone: allocated when there is none, cloned
+  /// when another graph shares it. The acquire load orders a sharer's
+  /// last reads before this graph's writes once that sharer has let go.
+  Storage& own() {
+    if (data_ == nullptr || data_->refs.load(std::memory_order_acquire) != 1)
+      clone();
+    return *data_;
+  }
+  void clone();
+  void release() noexcept {
+    if (data_ != nullptr &&
+        data_->refs.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      delete data_;
+  }
+
+  Storage* data_ = nullptr;  // null: no vertices, no edges
 };
 
 /// Total cost of an edge sequence/set.

@@ -99,6 +99,9 @@ void GraphParser::consume(std::string_view line, int line_number) {
   const char kind = scan.kind();
   if (kind == 'c') return;  // comment; rest of line is free-form
   if (kind == 'p') {
+    if (header_line_ != 0)
+      scan.error("duplicate problem line (first at line " +
+                 std::to_string(header_line_) + ")");
     const std::string tag = scan.word("problem tag");
     if (tag != "krsp") scan.error("unexpected problem tag \"" + tag + "\"");
     const int n = scan.int32("vertex count");
@@ -112,11 +115,11 @@ void GraphParser::consume(std::string_view line, int line_number) {
                  " bytes)");
     graph_.resize(n);
     declared_edges_ = m;
-    have_header_ = true;
+    header_line_ = line_number;
     return;
   }
   if (kind == 'a') {
-    if (!have_header_)
+    if (header_line_ == 0)
       scan.error("arc line before the problem ('p') line");
     const std::int64_t u = scan.integer("arc tail");
     const std::int64_t v = scan.integer("arc head");
@@ -140,7 +143,7 @@ Digraph GraphParser::finish() {
     os << "line " << last_line_ << ": " << why;
     return util::CheckError(os.str());
   };
-  if (!have_header_)
+  if (header_line_ == 0)
     throw positioned("graph stream missing the problem ('p') line");
   if (declared_edges_ != graph_.num_edges())
     throw positioned("edge count mismatch: declared " +

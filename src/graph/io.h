@@ -93,7 +93,7 @@ class GraphParser {
   std::size_t input_bytes_;
   Digraph graph_;
   int declared_edges_ = -1;
-  bool have_header_ = false;
+  int header_line_ = 0;  // 0 until the 'p' line is read
   int last_line_ = 0;
 };
 

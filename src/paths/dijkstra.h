@@ -1,5 +1,5 @@
 // Dijkstra shortest paths over a pluggable edge weight: from a source over
-// out_edges, or toward a target over in_edges.
+// out_edges, or toward a target over in_edges, stopped past a given vertex.
 //
 // Weights must be non-negative; this is KRSP_CHECKed lazily (on the first
 // negative weight encountered) so combined-weight callers (q·cost + p·delay)
@@ -59,12 +59,20 @@ struct ShortestPathTree {
 ShortestPathTree dijkstra(const graph::Digraph& g, graph::VertexId source,
                           const EdgeWeight& w);
 
-/// Dijkstra toward `target` over in_edges (all edges must have w(e) >= 0):
-/// entry v is the least weight of a v→target path, kUnreachable if there is
-/// none.
+/// Dijkstra toward `target` over in_edges (all edges must have w(e) >= 0),
+/// stopped once every vertex no farther from `target` than `stop` is
+/// settled. Entry v is min(dist(v), B), where dist(v) is the least weight
+/// of a v→target path and B, beyond dist(stop), is the least key left in
+/// the queue: exact up to dist(stop), one bound B past it. When the queue
+/// runs out first, every vertex it never reached is kUnreachable, exactly
+/// the vertices that cannot reach `target`; otherwise no entry is. Like
+/// dist, the entries are 0 at `target` and satisfy
+/// entry(u) <= w(u→v) + entry(v) on every arc, so they are a consistent A*
+/// heuristic toward `target`.
 std::vector<std::int64_t> dijkstra_to(const graph::Digraph& g,
                                       graph::VertexId target,
-                                      const EdgeWeight& w);
+                                      const EdgeWeight& w,
+                                      graph::VertexId stop);
 
 /// Min-priority queue of (key, vertex) entries for a search whose keys are
 /// >= 0 and never fall below the last popped key, as in Dijkstra with

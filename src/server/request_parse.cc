@@ -78,12 +78,12 @@ bool parse_solve_request(const wire::Value& req,
       // parse, O(1) fingerprinting off the stored prefixes.
       request.topology = std::move(ref);
     } else {
-      // Query override: kept symbolic — the graph is never copied here.
+      // Query override: kept symbolic — no instance is built here.
       // Fingerprints mix the override values directly after the stored
       // graph prefix (api/fingerprint.h), so cache lookups and routing
-      // stay O(1); the O(m) instance copy happens only when a solve
-      // actually runs (api::SolveRequest::materialized_instance on a
-      // cache miss).
+      // stay O(1); the instance is built only when a solve actually runs
+      // (api::SolveRequest::materialized_instance on a cache miss), and
+      // it shares the catalog graph's storage instead of copying it.
       request.topology = std::move(ref);
       request.query_override = api::QueryOverride{
           static_cast<graph::VertexId>(s), static_cast<graph::VertexId>(t),

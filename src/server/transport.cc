@@ -95,6 +95,35 @@ int send_all(int fd, const std::string& data) {
   return 0;
 }
 
+// Ends a connection whose client may still be sending, after its last
+// response: half-closes the write side, so the client reads what was sent
+// and then EOF, and discards the client's input until it closes, 4 MiB
+// have arrived or a second has passed. Closing with unread input would
+// reset the connection instead (ECONNRESET on a Unix socket, RST over
+// TCP), which can cost the client the response in flight; the bounds keep
+// a client that never stops sending from holding the thread.
+void discard_input(int fd) {
+  constexpr std::size_t kMaxDiscardBytes = std::size_t{4} << 20;
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(1);
+  ::shutdown(fd, SHUT_WR);
+  char chunk[4096];
+  for (std::size_t discarded = 0; discarded < kMaxDiscardBytes;) {
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                          give_up - std::chrono::steady_clock::now())
+                          .count();
+    if (left <= 0) break;
+    pollfd pfd{fd, POLLIN, 0};
+    const int rc = ::poll(&pfd, 1, static_cast<int>(left));
+    if (rc < 0 && errno == EINTR) continue;
+    if (rc <= 0) break;
+    const ssize_t n = ::read(fd, chunk, sizeof chunk);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // EOF or error: the client is done
+    discarded += static_cast<std::size_t>(n);
+  }
+}
+
 std::string paths_json(const core::PathSet& paths) {
   std::string out = "[";
   bool first_path = true;
@@ -548,6 +577,7 @@ void SocketServer::connection_loop(int fd) {
           fd, error_line("request line exceeds " +
                          std::to_string(kMaxLineBytes) + " bytes") +
                   "\n"));
+      discard_input(fd);
       break;
     }
   }

@@ -149,9 +149,12 @@ class Protocol final : public LineHandler {
 /// with MSG_NOSIGNAL so a client that disconnects mid-response yields
 /// EPIPE (connection closed) instead of SIGPIPE (process killed);
 /// request lines are capped at kMaxLineBytes (overflow gets one error
-/// response, then the connection closes); finished connection threads
-/// are reaped on every accept, and concurrent connections are capped at
-/// kMaxConnections (excess connections get one error response).
+/// response, then the connection is half-closed and closes once the
+/// client stops sending, after at most 4 MiB or a second more, so the
+/// client reads the error and then EOF, not a reset); finished
+/// connection threads are reaped on every accept, and concurrent
+/// connections are capped at kMaxConnections (excess connections get one
+/// error response).
 class SocketServer {
  public:
   /// Longest accepted request line; a buffered partial line beyond this

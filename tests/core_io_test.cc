@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/solver.h"
 #include "graph/io.h"
@@ -162,6 +168,114 @@ TEST(InstanceIo, FileErrorsLeadWithThePath) {
   const std::string msg =
       error_message([&] { (void)read_instance_file(path); });
   EXPECT_EQ(msg.rfind(path + ": line 2", 0), 0u) << msg;
+}
+
+// The instance's own invariants name a line too: a negative weight its
+// arc's line, a bad query field the query line.
+TEST(InstanceIo, InvalidInstanceNamesTheLine) {
+  const auto message = [](const std::string& text) {
+    return error_message([&] {
+      std::stringstream ss(text);
+      (void)read_instance(ss);
+    });
+  };
+  EXPECT_EQ(message("p krsp 2 2\na 0 1 1 1\na 1 0 -1 1\nq 0 1 1 5\n"),
+            "line 3: negative arc cost or delay");
+  EXPECT_EQ(message("q 0 2 1 5\np krsp 2 1\na 0 1 1 1\n"),
+            "line 1: target vertex 2 out of range (graph has 2 vertices)");
+  EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq -1 1 1 5\n"),
+            "line 3: source vertex -1 out of range (graph has 2 vertices)");
+  EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 1 1 1 5\n"),
+            "line 3: source and target are the same vertex");
+  EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 0 1 0 5\n"),
+            "line 3: path count k 0 below 1");
+  EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 0 1 1 -1\n"),
+            "line 3: delay bound -1 below 0");
+}
+
+// Seeded mutations of a valid instance text: bit flips, byte overwrites,
+// truncations, dropped and duplicated lines, and one number set to 0, -1,
+// 2^31 or 2^62. Each mutant parses to an instance that passes validate()
+// or is refused with a CheckError that names its line; no other exception,
+// crash or unbounded allocation (the ASan/UBSan leg runs this too).
+TEST(InstanceIo, MutatedInstancesParseValidOrFailWithALine) {
+  std::stringstream original;
+  write_instance(original, sample_instance());
+  const std::string text = original.str();
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(original, line);) lines.push_back(line);
+  const auto join = [](const std::vector<std::string>& parts) {
+    std::string out;
+    for (const auto& part : parts) out += part + "\n";
+    return out;
+  };
+  util::Rng rng(2031);
+  const auto pick = [&](std::size_t size) {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
+  };
+  const char* const numbers[] = {"0", "-1", "2147483648",
+                                 "4611686018427387904"};
+  constexpr int kTrials = 2000;
+  int rejected = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    std::string bad = text;
+    switch (trial % 6) {
+      case 0: {
+        const std::size_t at = pick(bad.size());
+        bad[at] = static_cast<char>(bad[at] ^ (1 << rng.uniform_int(0, 7)));
+        break;
+      }
+      case 1:
+        bad[pick(bad.size())] = static_cast<char>(rng.uniform_int(0, 255));
+        break;
+      case 2:
+        bad.resize(pick(bad.size()));
+        break;
+      case 3: {
+        std::vector<std::string> kept = lines;
+        kept.erase(kept.begin() + static_cast<std::ptrdiff_t>(pick(kept.size())));
+        bad = join(kept);
+        break;
+      }
+      case 4: {
+        std::vector<std::string> doubled = lines;
+        const std::string copy = doubled[pick(doubled.size())];
+        doubled.insert(
+            doubled.begin() + static_cast<std::ptrdiff_t>(pick(doubled.size() + 1)),
+            copy);
+        bad = join(doubled);
+        break;
+      }
+      case 5: {
+        // One maximal digit run, outside the comment line, becomes one of
+        // the numbers.
+        std::vector<std::pair<std::size_t, std::size_t>> runs;
+        for (std::size_t i = text.find('\n'); i < text.size(); ++i) {
+          if (!std::isdigit(static_cast<unsigned char>(text[i]))) continue;
+          std::size_t end = i;
+          while (end < text.size() &&
+                 std::isdigit(static_cast<unsigned char>(text[end])))
+            ++end;
+          runs.emplace_back(i, end - i);
+          i = end;
+        }
+        const auto [at, length] = runs[pick(runs.size())];
+        bad.replace(at, length, numbers[rng.uniform_int(0, 3)]);
+        break;
+      }
+    }
+    try {
+      std::stringstream in(bad);
+      const Instance inst = read_instance(in);
+      EXPECT_NO_THROW(inst.validate());
+    } catch (const util::CheckError& e) {
+      ++rejected;
+      EXPECT_EQ(std::string(e.what()).rfind("line ", 0), 0u) << e.what();
+    }
+  }
+  EXPECT_GT(rejected, kTrials / 2);
 }
 
 TEST(PathsIo, RoundTrip) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "graph/generators.h"
 #include "lp/model.h"
 #include "lp/simplex.h"
+#include "obs/metrics.h"
 #include "paths/dijkstra.h"
 #include "util/rng.h"
 
@@ -173,6 +175,37 @@ TEST(McfWorkspace, SameSizedTopologiesNeverShareANetwork) {
   EXPECT_EQ(ws.reuse_hits(), 1u);
 }
 
+// The process-wide metrics count every call and every network built: two
+// topologies alternating through one workspace build a network per
+// switch, and repeat calls on one topology build none.
+TEST(McfWorkspace, MetricsCountCallsAndABuildPerTopologySwitch) {
+  obs::Registry& registry = obs::Registry::global();
+  const obs::Counter& calls = registry.counter("krsp_mcmf_calls_total");
+  const obs::Counter& builds =
+      registry.counter("krsp_mcmf_network_builds_total");
+  const Digraph g = two_routes();
+  Digraph h(3);
+  h.add_edge(0, 2, 3, 0);
+  const std::uint64_t calls_before = calls.value();
+  const std::uint64_t builds_before = builds.value();
+  McfWorkspace ws;
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(ws.min_weight_flow(g, 0, 2, 1, 1, 0).has_value());
+    ASSERT_TRUE(ws.min_weight_flow(h, 0, 2, 1, 1, 0).has_value());
+  }
+  EXPECT_EQ(calls.value() - calls_before, 6u);
+  EXPECT_EQ(builds.value() - builds_before, 6u);
+  ASSERT_TRUE(ws.min_weight_flow(h, 0, 2, 1, 2, 0).has_value());
+  ASSERT_TRUE(ws.min_weight_flow(h, 0, 2, 1, 1, 1).has_value());
+  EXPECT_EQ(calls.value() - calls_before, 8u);
+  EXPECT_EQ(builds.value() - builds_before, 6u);
+  EXPECT_EQ(ws.rebuilds(), 6u);
+  const std::string text = registry.render_prometheus();
+  EXPECT_NE(text.find("krsp_mcmf_calls_total"), std::string::npos) << text;
+  EXPECT_NE(text.find("krsp_mcmf_network_builds_total"), std::string::npos)
+      << text;
+}
+
 // --- Property sweep against a reference with no potentials, no early stop.
 
 constexpr std::int64_t kRefInf = std::numeric_limits<std::int64_t>::max();
@@ -322,9 +355,11 @@ std::optional<std::int64_t> reference_weight(const Digraph& g,
   return reference_min_cost(g.num_vertices(), arcs, q.s, q.t, q.k);
 }
 
-SinkDistances sink_distances(const Digraph& g, graph::VertexId t) {
-  return {paths::dijkstra_to(g, t, paths::EdgeWeight::cost()),
-          paths::dijkstra_to(g, t, paths::EdgeWeight::delay())};
+// t's distances as phase 1 computes them: stopped past s.
+SinkDistances sink_distances(const Digraph& g, graph::VertexId s,
+                             graph::VertexId t) {
+  return {paths::dijkstra_to(g, t, paths::EdgeWeight::cost(), s),
+          paths::dijkstra_to(g, t, paths::EdgeWeight::delay(), s)};
 }
 
 TEST(MinWeightUnitFlow, PropertyTieHeavySweepMatchesBellmanFordReference) {
@@ -434,7 +469,7 @@ TEST(MinWeightUnitFlow, PropertyGoalDirectedSweepWithDeadEndsMatchesReference) {
       g.add_edge(from, into, rng.uniform_int(0, 2), rng.uniform_int(0, 2));
     }
     const auto want = reference_weight(g, q);
-    const SinkDistances sink = sink_distances(g, q.t);
+    const SinkDistances sink = sink_distances(g, q.s, q.t);
     // Fresh network, then the workspace twice: a rebuild and a reuse.
     McfWorkspace fresh;
     for (McfWorkspace* w : {&fresh, &ws, &ws}) {
@@ -456,7 +491,7 @@ TEST(MinCostFlow, SourceThatCannotReachSinkIsNulloptWithDistances) {
   g.add_edge(0, 1, 1, 1);
   g.add_edge(1, 2, 1, 1);
   g.add_edge(3, 0, 1, 1);
-  const SinkDistances sink = sink_distances(g, 3);
+  const SinkDistances sink = sink_distances(g, 0, 3);
   EXPECT_EQ(sink.cost[0], paths::kUnreachable);
   McfWorkspace ws;
   EXPECT_FALSE(ws.min_weight_flow(g, 0, 3, 1, 1, 1, &sink).has_value());
@@ -478,7 +513,7 @@ TEST(MinCostFlow, GoalDirectionFallsBackAboveItsRangeAndStaysExact) {
     g.add_edge(0, 2, 2, 0);
     g.add_edge(2, 3, x - 2, 0);
     g.add_edge(0, 4, 0, 0);
-    const SinkDistances sink = sink_distances(g, 3);
+    const SinkDistances sink = sink_distances(g, 0, 3);
     ASSERT_EQ(sink.cost,
               (std::vector<graph::Cost>{x, 1, x - 2, 0, paths::kUnreachable}));
     McfWorkspace plain;

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <utility>
+#include <vector>
+
 namespace krsp::graph {
 namespace {
 
@@ -77,6 +81,128 @@ TEST(Digraph, ReversedSwapsDirections) {
   EXPECT_EQ(r.edge(0).from, 1);
   EXPECT_EQ(r.edge(0).to, 0);
   EXPECT_EQ(r.edge(0).cost, 1);
+}
+
+// A three-vertex graph with two edges, and a check that another graph has
+// exactly its shape and weights.
+Digraph small_graph() {
+  Digraph g(3);
+  g.add_edge(0, 1, 1, 2);
+  g.add_edge(1, 2, 3, 4);
+  return g;
+}
+
+void expect_small_graph(const Digraph& g) {
+  ASSERT_EQ(g.num_vertices(), 3);
+  ASSERT_EQ(g.num_edges(), 2);
+  EXPECT_EQ(g.edge(0).from, 0);
+  EXPECT_EQ(g.edge(0).delay, 2);
+  EXPECT_EQ(g.edge(1).to, 2);
+  EXPECT_EQ(g.edge(1).delay, 4);
+  EXPECT_EQ(g.out_degree(0), 1);
+  EXPECT_EQ(g.in_degree(2), 1);
+}
+
+TEST(Digraph, CopiesShareStorage) {
+  const Digraph g = small_graph();
+  const Digraph copy = g;
+  Digraph assigned;
+  assigned = copy;
+  for (const Digraph* other : {&copy, static_cast<const Digraph*>(&assigned)}) {
+    EXPECT_EQ(other->edges().data(), g.edges().data());
+    EXPECT_EQ(other->out_edges(0).data(), g.out_edges(0).data());
+    EXPECT_EQ(other->in_edges(2).data(), g.in_edges(2).data());
+  }
+}
+
+// Each mutator on a copy changes that copy alone: the original and a
+// second copy keep the old graph and still share it.
+TEST(Digraph, EveryMutatorOnACopyLeavesOriginalAndOtherCopiesUnchanged) {
+  const std::vector<std::pair<const char*, std::function<void(Digraph&)>>>
+      mutators = {
+          {"resize", [](Digraph& g) { g.resize(5); }},
+          {"add_vertex", [](Digraph& g) { g.add_vertex(); }},
+          {"add_edge", [](Digraph& g) { g.add_edge(2, 0, 5, 6); }},
+          {"clear_edges", [](Digraph& g) { g.clear_edges(); }},
+          {"set_edge_delay", [](Digraph& g) { g.set_edge_delay(1, 9); }},
+      };
+  for (const auto& [name, mutate] : mutators) {
+    SCOPED_TRACE(name);
+    const Digraph original = small_graph();
+    Digraph changed = original;
+    const Digraph other = original;
+    mutate(changed);
+    EXPECT_NE(changed.edges().data(), original.edges().data());
+    expect_small_graph(original);
+    expect_small_graph(other);
+    EXPECT_EQ(other.edges().data(), original.edges().data());
+  }
+  Digraph grown = small_graph();
+  const Digraph copy = grown;
+  grown.resize(5);
+  EXPECT_EQ(grown.num_vertices(), 5);
+  EXPECT_EQ(copy.num_vertices(), 3);
+  Digraph cleared = small_graph();
+  const Digraph kept = cleared;
+  cleared.clear_edges();
+  EXPECT_EQ(cleared.num_vertices(), 3);
+  EXPECT_EQ(cleared.num_edges(), 0);
+  EXPECT_EQ(cleared.out_degree(0), 0);
+  expect_small_graph(kept);
+}
+
+// A graph no other graph shares is mutated in place: a resize that does
+// not grow, a delay update, and clearing then re-adding edges keep its
+// storage, as residual graphs rebuilt every cancellation round rely on.
+TEST(Digraph, UnsharedGraphIsMutatedInPlace) {
+  Digraph g = small_graph();
+  const Edge* edges = g.edges().data();
+  const EdgeId* out0 = g.out_edges(0).data();
+  g.resize(2);
+  g.set_edge_delay(0, 7);
+  EXPECT_EQ(g.edge(0).delay, 7);
+  g.clear_edges();
+  g.add_edge(0, 1, 1, 1);
+  EXPECT_EQ(g.edges().data(), edges);
+  EXPECT_EQ(g.out_edges(0).data(), out0);
+  {
+    const Digraph copy = g;
+    EXPECT_EQ(copy.edges().data(), edges);
+  }
+  g.add_edge(0, 2, 1, 1);  // the copy is gone: still in place
+  EXPECT_EQ(g.edges().data(), edges);
+}
+
+TEST(Digraph, MovedFromAndDefaultGraphsAreValidAndEmpty) {
+  Digraph g = small_graph();
+  const Edge* edges = g.edges().data();
+  Digraph moved = std::move(g);
+  EXPECT_EQ(moved.edges().data(), edges);
+  expect_small_graph(moved);
+  // The moved-from graph is empty and usable.
+  EXPECT_EQ(g.num_vertices(), 0);
+  EXPECT_EQ(g.num_edges(), 0);
+  EXPECT_TRUE(g.edges().empty());
+  EXPECT_EQ(g.total_cost(), 0);
+  EXPECT_EQ(g.reversed().num_vertices(), 0);
+  g.clear_edges();
+  EXPECT_EQ(g.add_vertex(), 0);
+  EXPECT_EQ(g.add_vertex(), 1);
+  g.add_edge(0, 1, 1, 1);
+  EXPECT_EQ(g.num_edges(), 1);
+  Digraph assigned;
+  assigned = std::move(moved);
+  expect_small_graph(assigned);
+  const Digraph& self = assigned;
+  assigned = self;
+  expect_small_graph(assigned);
+  const Digraph empty;
+  Digraph from_empty = empty;
+  EXPECT_EQ(from_empty.num_vertices(), 0);
+  from_empty.resize(2);
+  EXPECT_EQ(from_empty.num_vertices(), 2);
+  EXPECT_EQ(empty.num_vertices(), 0);
+  EXPECT_EQ(Digraph(0).num_vertices(), 0);
 }
 
 TEST(PathHelpers, CostAndDelay) {

@@ -186,6 +186,18 @@ TEST(GraphIo, SemanticErrorsArePositionedToo) {
       << early_arc;
 }
 
+// A second 'p' line used to redefine the vertex and edge counts silently
+// (the graph grew to the larger n, and the edge count check used the last
+// declaration).
+TEST(GraphIo, DuplicateProblemLineNamesTheFirst) {
+  const std::string msg = error_message([] {
+    std::stringstream ss("p krsp 2 1\na 0 1 1 1\np krsp 5 1\n");
+    (void)read_graph(ss);
+  });
+  EXPECT_EQ(msg,
+            "line 3, column 2: duplicate problem line (first at line 1)");
+}
+
 TEST(GraphIo, TrailingContentIsRejectedWithItsPosition) {
   const std::string msg = error_message([] {
     std::stringstream ss("p krsp 2 1 extra\na 0 1 1 1\n");

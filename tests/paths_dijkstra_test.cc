@@ -84,8 +84,12 @@ TEST(Dijkstra, PropertyAgreesWithBellmanFord) {
   }
 }
 
-// Distances toward a target over in_edges equal distances from it on the
-// reversed graph, unreached vertices included.
+// Distances toward a target over in_edges, stopped past `stop`, equal
+// min(dist, B) with dist the distance from the target on the reversed graph
+// and B the least distance beyond dist(stop): exact up to stop's distance
+// and one bound past it. B is kUnreachable only when the search runs out,
+// that is, when stop cannot reach the target or no vertex farther than
+// stop can.
 TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
   util::Rng rng(107);
   for (int trial = 0; trial < 30; ++trial) {
@@ -93,9 +97,67 @@ TEST(Dijkstra, ToTargetMatchesSearchOnReversedGraph) {
     const Digraph reversed = g.reversed();
     for (const auto& w : {EdgeWeight::cost(), EdgeWeight::combined(3, 2)}) {
       const VertexId target = static_cast<VertexId>(trial % 15);
-      EXPECT_EQ(dijkstra_to(g, target, w), dijkstra(reversed, target, w).dist);
+      const auto exact = dijkstra(reversed, target, w).dist;
+      for (VertexId stop = 0; stop < g.num_vertices(); ++stop) {
+        std::int64_t bound = kUnreachable;
+        for (const std::int64_t d : exact)
+          if (d > exact[stop]) bound = std::min(bound, d);
+        std::vector<std::int64_t> want;
+        for (const std::int64_t d : exact) want.push_back(std::min(d, bound));
+        EXPECT_EQ(dijkstra_to(g, target, w, stop), want)
+            << "target " << target << ", stop " << stop;
+      }
     }
   }
+}
+
+// Every entry is a consistent lower bound on the distance to the target:
+// 0 at the target, at most w(e) plus the head's entry across every arc e,
+// and kUnreachable only on a vertex that cannot reach the target.
+TEST(Dijkstra, ToTargetEntriesAreAConsistentLowerBound) {
+  util::Rng rng(113);
+  for (int trial = 0; trial < 30; ++trial) {
+    const auto g = gen::erdos_renyi(rng, 20, 0.15);
+    const Digraph reversed = g.reversed();
+    const auto w = EdgeWeight::combined(1 + trial % 3, 2);
+    const VertexId target = static_cast<VertexId>(trial % 20);
+    const auto exact = dijkstra(reversed, target, w).dist;
+    for (VertexId stop = 0; stop < g.num_vertices(); ++stop) {
+      const auto h = dijkstra_to(g, target, w, stop);
+      EXPECT_EQ(h[target], 0);
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        EXPECT_LE(h[v], exact[v]);
+        if (h[v] == kUnreachable) {
+          EXPECT_EQ(exact[v], kUnreachable);
+        }
+      }
+      for (const graph::Edge& e : g.edges()) {
+        if (h[e.to] != kUnreachable) {
+          EXPECT_LE(h[e.from], w(e) + h[e.to]);
+        }
+      }
+    }
+  }
+}
+
+// Chain 0→1→2→3→4 of unit arcs toward target 4 and a vertex 5 that only 4
+// reaches. Stopped at 2 the search settles 4, 3 and 2 and caps the rest at
+// 3, the unreachable vertex included; stopped at 0 it runs out, and 5 reads
+// kUnreachable.
+TEST(Dijkstra, ToTargetStopsPastTheStopVertex) {
+  Digraph g(6);
+  for (VertexId v = 0; v < 4; ++v) g.add_edge(v, v + 1, 1, 0);
+  g.add_edge(4, 5, 1, 0);
+  EXPECT_EQ(dijkstra_to(g, 4, EdgeWeight::cost(), 2),
+            (std::vector<std::int64_t>{3, 3, 2, 1, 0, 3}));
+  EXPECT_EQ(dijkstra_to(g, 4, EdgeWeight::cost(), 4),
+            (std::vector<std::int64_t>{1, 1, 1, 1, 0, 1}));
+  EXPECT_EQ(dijkstra_to(g, 4, EdgeWeight::cost(), 0),
+            (std::vector<std::int64_t>{4, 3, 2, 1, 0, kUnreachable}));
+  EXPECT_EQ(dijkstra_to(g, 4, EdgeWeight::cost(), 5),
+            (std::vector<std::int64_t>{4, 3, 2, 1, 0, kUnreachable}));
+  EXPECT_THROW((void)dijkstra_to(g, 4, EdgeWeight::cost(), 6),
+               util::CheckError);
 }
 
 // The radix heap pops what a binary heap over (key, vertex) pairs pops,

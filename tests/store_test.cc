@@ -463,5 +463,80 @@ TEST(TopologyCatalogTest, ConcurrentFindsAreSafeAndConsistent) {
   EXPECT_EQ(failures.load(), 0);
 }
 
+// A v2 query override materializes without copying the graph: the
+// instance it solves shares the catalog graph's storage.
+TEST(TopologyCatalogTest, MaterializedOverrideSharesTheCatalogGraph) {
+  const std::string dir = temp_path("catalog5");
+  std::filesystem::create_directories(dir);
+  CsrContainer::write_file(dir + "/topo.krspb", random_instance(59));
+  const TopologyCatalog catalog = TopologyCatalog::load(dir);
+  api::SolveRequest request;
+  request.topology = catalog.find("topo");
+  ASSERT_NE(request.topology, nullptr);
+  const core::Instance& stored = *request.topology->instance;
+  request.query_override =
+      api::QueryOverride{stored.t, stored.s, 1, stored.delay_bound + 1};
+  const core::Instance inst = request.materialized_instance();
+  EXPECT_EQ(inst.graph.edges().data(), stored.graph.edges().data());
+  EXPECT_EQ(inst.graph.out_edges(inst.s).data(),
+            stored.graph.out_edges(inst.s).data());
+  EXPECT_EQ(inst.s, stored.t);
+  EXPECT_EQ(inst.t, stored.s);
+  EXPECT_EQ(inst.k, 1);
+  EXPECT_EQ(inst.delay_bound, stored.delay_bound + 1);
+}
+
+// Threads materialize copies of one shared catalog instance and mutate
+// them while reading the shared one: each copy starts out sharing the
+// catalog graph and then sees only its own changes, and the catalog
+// instance never changes. CI runs this under ThreadSanitizer.
+TEST(TopologyCatalogTest, ThreadsCopyAndMutateOneSharedInstance) {
+  const std::string dir = temp_path("catalog6");
+  std::filesystem::create_directories(dir);
+  CsrContainer::write_file(dir + "/topo.krspb", random_instance(67));
+  const TopologyCatalog catalog = TopologyCatalog::load(dir);
+  const auto ref = catalog.find("topo");
+  ASSERT_NE(ref, nullptr);
+  const core::Instance& shared = *ref->instance;
+  const core::Instance snapshot =
+      CsrContainer::open(dir + "/topo.krspb").instance();
+  ASSERT_NE(snapshot.graph.edges().data(), shared.graph.edges().data());
+  const int n = shared.graph.num_vertices();
+  const int m = shared.graph.num_edges();
+  const graph::Delay total_delay = shared.graph.total_delay();
+
+  std::vector<std::thread> threads;
+  std::atomic<int> failures{0};
+  for (int id = 0; id < 4; ++id) {
+    threads.emplace_back([&, id] {
+      for (int i = 0; i < 100; ++i) {
+        api::SolveRequest request;
+        request.topology = ref;
+        request.query_override =
+            api::QueryOverride{shared.s, shared.t, 1 + i % 2, 0};
+        core::Instance mine = request.materialized_instance();
+        bool ok = mine.graph.edges().data() == shared.graph.edges().data();
+        const core::Instance copy = mine;
+        mine.graph.set_edge_delay(0, 1000 + id);
+        mine.graph.add_edge(0, 1, id, id);
+        if (i % 3 == 0) mine.graph.add_vertex();
+        if (i % 5 == 0) mine.graph.clear_edges();
+        ok = ok && copy.graph.edges().data() == shared.graph.edges().data() &&
+             mine.graph.edges().data() != shared.graph.edges().data() &&
+             (i % 5 == 0 ? mine.graph.num_edges() == 0
+                         : mine.graph.num_edges() == m + 1 &&
+                               mine.graph.edge(0).delay == 1000 + id) &&
+             mine.graph.num_vertices() == n + (i % 3 == 0 ? 1 : 0) &&
+             shared.graph.num_edges() == m &&
+             shared.graph.total_delay() == total_delay;
+        if (!ok) failures.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  expect_same_instance(shared, snapshot);
+}
+
 }  // namespace
 }  // namespace krsp::store
