@@ -70,7 +70,7 @@ core::Instance SolveRequest::materialized_instance() const {
     inst.t = query_override->t;
     inst.k = query_override->k;
     inst.delay_bound = query_override->delay_bound;
-    inst.validate();
+    inst.validate_query();
   }
   return inst;
 }
@@ -99,18 +99,14 @@ SolveResult solve_request(const SolveRequest& request,
   out.tag = request.tag;
   try {
     const core::KrspSolver solver(to_solver_options(request));
-    // A pending query override materializes here — the first (and only)
-    // point that needs the concrete instance; its graph shares the
-    // catalog's storage. Cache hits and routing decisions upstream key on
-    // the override symbolically and never materialize it. A bad override
-    // throws and lands in the catch below.
-    const bool deferred =
-        request.topology != nullptr && request.query_override.has_value();
-    const core::Instance materialized =
-        deferred ? request.materialized_instance() : core::Instance{};
-    const core::Instance& inst =
-        deferred ? materialized : request.instance_view();
-    core::Solution sol = solver.solve(inst, deadline, ws);
+    // The concrete instance is built here, the only point that needs it:
+    // an O(1) copy sharing the graph's storage, with a pending override's
+    // query applied. Cache hits and routing decisions upstream key on the
+    // override symbolically and never materialize it. A bad override, or
+    // any instance phase 1's full check refuses, throws and lands in the
+    // catch below.
+    core::Solution sol =
+        solver.solve(request.materialized_instance(), deadline, ws);
     out.status = sol.status;
     out.paths = std::move(sol.paths);
     out.cost = sol.cost;

@@ -13,7 +13,12 @@
 // Error contract: solve entry points do not throw for per-request problems.
 // Invalid instances, internal invariant trips, anything that would abort a
 // solve is captured as SolveStatus::kFailed with SolveResult::error set, so
-// one bad request cannot take down a batch.
+// one bad request cannot take down a batch. An instance outside the
+// paper's model fails with the reason Instance::validate gives
+// ("instance: bad source 7", "instance: negative cost edge", ...):
+// phase 1, the first stage of every mode, checks the whole instance once
+// per solve, and materialized_instance() checks only an override's
+// query, in O(1). docs/API.md lists which entry point checks what.
 #pragma once
 
 #include <chrono>
@@ -195,12 +200,13 @@ struct SolveRequest {
     return QueryOverride{inst.s, inst.t, inst.k, inst.delay_bound};
   }
 
-  /// Folds a pending override into a concrete Instance and validates it.
-  /// The instance shares the topology's graph storage, so the copy is
-  /// O(1) and the validation one O(m) pass over the edges. Call only when
-  /// the solve actually runs — cache hits and ring-key computation never
-  /// need it. Throws util::CheckError if the override breaks instance
-  /// invariants.
+  /// The concrete Instance this request solves: instance_view() with a
+  /// pending override's query applied. O(1): the instance shares the
+  /// viewed graph's storage, and only the override's query is checked
+  /// (Instance::validate_query), so a bad override throws
+  /// util::CheckError here. The graph's weights are checked once per
+  /// solve, by phase 1. Call only when the solve actually runs — cache
+  /// hits and ring-key computation never need it.
   [[nodiscard]] Instance materialized_instance() const;
 };
 

@@ -1,6 +1,7 @@
 #include "core/instance.h"
 
 #include <functional>
+#include <limits>
 #include <sstream>
 
 #include "flow/dinic.h"
@@ -8,12 +9,25 @@
 
 namespace krsp::core {
 
+std::string query_error(std::int64_t n, std::int64_t s, std::int64_t t,
+                        std::int64_t k, std::int64_t delay_bound) {
+  if (s < 0 || s >= n) return "bad source " + std::to_string(s);
+  if (t < 0 || t >= n) return "bad sink " + std::to_string(t);
+  if (s == t) return "s == t";
+  if (k < 1 || k > std::numeric_limits<int>::max())
+    return "k = " + std::to_string(k);
+  if (delay_bound < 0) return "D = " + std::to_string(delay_bound);
+  return {};
+}
+
+void Instance::validate_query() const {
+  const std::string why =
+      query_error(graph.num_vertices(), s, t, k, delay_bound);
+  KRSP_CHECK_MSG(why.empty(), "instance: " << why);
+}
+
 void Instance::validate() const {
-  KRSP_CHECK_MSG(graph.is_vertex(s), "instance: bad source " << s);
-  KRSP_CHECK_MSG(graph.is_vertex(t), "instance: bad sink " << t);
-  KRSP_CHECK_MSG(s != t, "instance: s == t");
-  KRSP_CHECK_MSG(k >= 1, "instance: k = " << k);
-  KRSP_CHECK_MSG(delay_bound >= 0, "instance: D = " << delay_bound);
+  validate_query();
   for (const auto& e : graph.edges()) {
     KRSP_CHECK_MSG(e.cost >= 0, "instance: negative cost edge");
     KRSP_CHECK_MSG(e.delay >= 0, "instance: negative delay edge");

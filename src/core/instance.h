@@ -2,6 +2,7 @@
 // construction helpers used across tests, benchmarks and examples.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
@@ -12,6 +13,16 @@
 
 namespace krsp::core {
 
+/// The query half of the paper's model (Definition 2), the one rule every
+/// entry point applies: s and t are distinct vertices of an n-vertex
+/// graph, 1 <= k <= INT_MAX and D >= 0. Takes int64 values as they arrive
+/// from JSON and from container headers, before any narrowing. Returns
+/// the first failing field's reason ("bad source 7", "bad sink -1",
+/// "s == t", "k = 0", "D = -3"), or "" for a valid query. O(1).
+[[nodiscard]] std::string query_error(std::int64_t n, std::int64_t s,
+                                      std::int64_t t, std::int64_t k,
+                                      std::int64_t delay_bound);
+
 struct Instance {
   graph::Digraph graph;
   graph::VertexId s = graph::kInvalidVertex;
@@ -19,9 +30,13 @@ struct Instance {
   int k = 1;
   graph::Delay delay_bound = 0;  // D
 
-  /// Structural sanity: vertices exist, s != t, k >= 1, D >= 0, and all
-  /// edge costs/delays non-negative (the paper's model). Throws CheckError
-  /// on violation.
+  /// query_error on this instance's fields; throws CheckError
+  /// "instance: <reason>" on violation. O(1).
+  void validate_query() const;
+
+  /// The whole model: validate_query() plus non-negative costs and delays
+  /// on every edge. Throws CheckError on violation. O(m); phase 1 runs it
+  /// once per solve, before any algorithm reads the instance.
   void validate() const;
 
   [[nodiscard]] std::string summary() const;

@@ -26,8 +26,8 @@ namespace {
 // malformed token anywhere reports "line N, column C" of the original
 // input. The parser knows the input's size, so a 'p' line cannot declare
 // more vertices than the input has bytes. The instance's own invariants
-// are checked last and name a line too: a negative weight its arc's line,
-// anything else the query line.
+// (Instance::validate's whole model) are checked last and name a line
+// too: a negative weight its arc's line, a query_error the query line.
 Instance read_instance_impl(std::string_view text, std::string_view context) {
   Instance inst;
   graph::GraphParser parser(context, text.size());
@@ -73,21 +73,9 @@ Instance read_instance_impl(std::string_view text, std::string_view context) {
   for (std::size_t e = 0; e < edges.size(); ++e)
     if (edges[e].cost < 0 || edges[e].delay < 0)
       fail_at(arc_lines[e], "negative arc cost or delay");
-  const std::string vertices =
-      " out of range (graph has " +
-      std::to_string(inst.graph.num_vertices()) + " vertices)";
-  if (!inst.graph.is_vertex(inst.s))
-    fail_at(query_line, "source vertex " + std::to_string(inst.s) + vertices);
-  if (!inst.graph.is_vertex(inst.t))
-    fail_at(query_line, "target vertex " + std::to_string(inst.t) + vertices);
-  if (inst.s == inst.t)
-    fail_at(query_line, "source and target are the same vertex");
-  if (inst.k < 1)
-    fail_at(query_line, "path count k " + std::to_string(inst.k) + " below 1");
-  if (inst.delay_bound < 0)
-    fail_at(query_line,
-            "delay bound " + std::to_string(inst.delay_bound) + " below 0");
-  inst.validate();
+  const std::string why = query_error(inst.graph.num_vertices(), inst.s,
+                                      inst.t, inst.k, inst.delay_bound);
+  if (!why.empty()) fail_at(query_line, why);
   return inst;
 }
 

@@ -26,6 +26,7 @@ Phase1Result phase1_lagrangian(const Instance& inst,
                                const util::Deadline& deadline,
                                flow::McfWorkspace* ws) {
   KRSP_OBS_SPAN("phase1");
+  // The one full model check of a solve: every solver mode starts here.
   inst.validate();
   Phase1Result out;
 

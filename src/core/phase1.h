@@ -62,8 +62,10 @@ struct Phase1Result {
 /// An expired `deadline` cuts the LARAC iteration short (see
 /// Phase1Result::deadline_hit); the two bracketing MCMF calls always run,
 /// so feasibility answers (kOptimal/kInfeasible/kNoKDisjointPaths) are
-/// exact regardless of the budget. Each run first checks Σcost and Σdelay
-/// for overflow, then computes every vertex's cost and delay distance to t
+/// exact regardless of the budget. Each run first validates `inst` in full
+/// (Instance::validate, throwing util::CheckError: the one O(m) model
+/// check of a KrspSolver solve) and checks Σcost and Σdelay for overflow,
+/// then computes every vertex's cost and delay distance to t
 /// (two reverse Dijkstras, each stopped past s, so a distance beyond s's
 /// reads as the search's bound B: paths::dijkstra_to); under the weight
 /// q·cost + p·delay, q·dist_cost(v) + p·dist_delay(v) is a consistent lower

@@ -80,7 +80,6 @@ Solution KrspSolver::solve(const Instance& inst) const {
 
 Solution KrspSolver::solve(const Instance& inst, const util::Deadline& deadline,
                            SolveWorkspace* ws) const {
-  inst.validate();
   const util::WallTimer timer;
   Solution s;
   switch (options_.mode) {

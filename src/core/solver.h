@@ -111,6 +111,9 @@ class KrspSolver {
  public:
   explicit KrspSolver(SolverOptions options = {}) : options_(options) {}
 
+  /// Every mode starts with phase 1, which validates `inst` in full
+  /// (Instance::validate) before any algorithm reads it, and throws
+  /// util::CheckError on an invalid instance.
   [[nodiscard]] Solution solve(const Instance& inst) const;
 
   /// Solve against an absolute deadline (overrides options().deadline_

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -43,9 +42,9 @@ bool parse_solve_request(const wire::Value& req,
     // A present query field must be a JSON integer in range: a string, a
     // fraction or a value past int64 (or past the vertex or k range) would
     // otherwise be dropped, truncated or wrapped into a different query.
-    // These are the instance invariants an override could break, checked
-    // up front so a bad override is a parse-time structured error, never
-    // a failed solve.
+    // The range is core::query_error, the instance rule itself, applied to
+    // the int64 values before any narrowing, so a bad override is a
+    // parse-time structured error, never a failed solve.
     const api::Instance& defaults = *ref->instance;
     std::int64_t q[4] = {defaults.s, defaults.t, defaults.k,
                          defaults.delay_bound};
@@ -59,18 +58,8 @@ bool parse_solve_request(const wire::Value& req,
       q[i] = v->integer;
     }
     const auto [s, t, k, bound] = q;
-    const std::int64_t n = defaults.graph.num_vertices();
-    std::string what;
-    if (s < 0 || s >= n)
-      what = "bad source " + std::to_string(s);
-    else if (t < 0 || t >= n)
-      what = "bad sink " + std::to_string(t);
-    else if (s == t)
-      what = "s == t";
-    else if (k < 1 || k > std::numeric_limits<int>::max())
-      what = "k = " + std::to_string(k);
-    else if (bound < 0)
-      what = "D = " + std::to_string(bound);
+    const std::string what =
+        core::query_error(defaults.graph.num_vertices(), s, t, k, bound);
     if (!what.empty()) return fail("bad query override: " + what);
     if (s == defaults.s && t == defaults.t && k == defaults.k &&
         bound == defaults.delay_bound) {

@@ -9,7 +9,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <sstream>
@@ -19,6 +18,7 @@
 #include "obs/trace.h"
 #include "server/request_parse.h"
 #include "server/wire.h"
+#include "store/container.h"
 
 namespace krsp::server {
 
@@ -208,15 +208,6 @@ void class_stats_fields(wire::ObjectWriter& w, const char* prefix,
   w.field(p + "_ewma_service_ms", cs.ewma_service_seconds * 1e3);
 }
 
-// Digests are u64; JSON numbers round-trip exactly only through int64,
-// so they travel as fixed-width hex strings.
-std::string hex64(std::uint64_t x) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(x));
-  return buf;
-}
-
 void topology_info_fields(wire::ObjectWriter& w,
                           const store::TopologyCatalog::Info& info) {
   w.field("id", info.id);
@@ -226,7 +217,7 @@ void topology_info_fields(wire::ObjectWriter& w,
   w.field("t", static_cast<std::int64_t>(info.t));
   w.field("k", static_cast<std::int64_t>(info.k));
   w.field("delay_bound", static_cast<std::int64_t>(info.delay_bound));
-  w.field("digest", hex64(info.digest));
+  w.field("digest", store::hex_digest(info.digest));
   w.field("file_bytes", info.file_bytes);
 }
 

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -158,7 +159,7 @@ CsrContainer CsrContainer::open(const std::string& path) {
 
   // From here, any violated invariant must unmap before throwing; the
   // container's destructor handles that once `c` owns the mapping.
-  auto check = [&](bool ok, const char* what) {
+  auto check = [&](bool ok, std::string_view what) {
     KRSP_CHECK_MSG(ok, path << ": " << what);
   };
   check(h.magic == kMagic, "bad magic (not a .krspb container?)");
@@ -210,16 +211,19 @@ CsrContainer CsrContainer::open(const std::string& path) {
           "ids section is not a permutation of edge ids");
     seen[static_cast<std::size_t>(id)] = true;
   }
-  check(digest_of(h, offsets, targets, c.costs(), c.delays(), ids) == h.digest,
+  const auto costs = c.costs();
+  const auto delays = c.delays();
+  check(digest_of(h, offsets, targets, costs, delays, ids) == h.digest,
         "content digest mismatch (corrupted file?)");
-  // Query fields: terminals must be valid vertices when set. Stored
-  // containers always carry a full query (write_file validates it), but a
-  // bit flip in the header must not yield an instance that trips solver
-  // invariants later.
-  check(h.s >= 0 && h.s < h.num_vertices && h.t >= 0 &&
-            h.t < h.num_vertices && h.s != h.t,
-        "invalid stored terminals");
-  check(h.k >= 1 && h.delay_bound >= 0, "invalid stored k or delay bound");
+  // The instance rule (Instance::validate's model), so that a container
+  // write_file would refuse is a load error and not a failed solve later:
+  // non-negative weights, and core::query_error on the stored query's
+  // int64 fields, before the accessors narrow them.
+  for (std::uint64_t e = 0; e < m; ++e)
+    check(costs[e] >= 0 && delays[e] >= 0, "negative arc cost or delay");
+  const std::string query =
+      core::query_error(h.num_vertices, h.s, h.t, h.k, h.delay_bound);
+  check(query.empty(), "invalid stored query: " + query);
   return c;
 }
 
@@ -299,6 +303,13 @@ core::Instance CsrContainer::instance() const {
   inst.k = k();
   inst.delay_bound = delay_bound();
   return inst;
+}
+
+std::string hex_digest(std::uint64_t digest) {
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(digest));
+  return buf;
 }
 
 std::uint64_t compute_digest(const Header& header,

@@ -3,10 +3,12 @@
 // CsrContainer::open maps the file read-only and validates it — magic,
 // version, endianness, vertex and edge counts against the file size,
 // section bounds and alignment, CSR monotonicity, target ranges, edge-id
-// permutation, and the content digest — without parsing a single edge
-// from text. instance() then materializes a core::Instance in one linear
-// pass over the mapped sections, with edge ids restored to their original
-// numbering; it owns its memory and outlives the container. The raw
+// permutation, the content digest, and then the instance rule itself
+// (non-negative weights, core::query_error on the stored query) — without
+// parsing a single edge from text. instance() then materializes a
+// core::Instance in one linear pass over the mapped sections, with edge
+// ids restored to their original numbering; it owns its memory and
+// outlives the container. The raw
 // section spans borrow the mapping and stay private to the container.
 // The store tests run under ASan/UBSan precisely because mmap lifetime
 // and alignment bugs are what sanitizers catch.
@@ -31,9 +33,12 @@ class CsrContainer {
   static void write_file(const std::string& path, const core::Instance& inst);
 
   /// Opens and maps `path` read-only, validating the full format
-  /// contract. Throws util::CheckError naming the file and the first
-  /// violated invariant (bad magic, truncation, digest mismatch, ...);
-  /// a malformed file is a load error, never undefined behavior later.
+  /// contract and the instance rule. Throws util::CheckError naming the
+  /// file and the first violated invariant (bad magic, truncation, digest
+  /// mismatch, negative arc cost or delay, invalid stored query: k = 0,
+  /// ...); a malformed file is a load error, never undefined behavior or
+  /// a failed solve later, and instance() always passes
+  /// Instance::validate.
   static CsrContainer open(const std::string& path);
 
   CsrContainer(CsrContainer&& other) noexcept;
@@ -82,6 +87,11 @@ class CsrContainer {
   std::size_t map_len_ = 0;
   Header header_;
 };
+
+/// A digest as 16 lowercase hex digits, the form `krsp_pack` and the
+/// `topologies`/`topology` wire ops print: JSON numbers round-trip exactly
+/// only through int64, so a u64 digest travels as a string.
+[[nodiscard]] std::string hex_digest(std::uint64_t digest);
 
 /// Digest over the header's query fields and all section words, exactly
 /// as write_file computes it; exposed so tests can confirm corruption

@@ -181,16 +181,18 @@ TEST(InstanceIo, InvalidInstanceNamesTheLine) {
   };
   EXPECT_EQ(message("p krsp 2 2\na 0 1 1 1\na 1 0 -1 1\nq 0 1 1 5\n"),
             "line 3: negative arc cost or delay");
+  // Query fields get core::query_error's wording, the one every entry
+  // point shares, prefixed by the query line.
   EXPECT_EQ(message("q 0 2 1 5\np krsp 2 1\na 0 1 1 1\n"),
-            "line 1: target vertex 2 out of range (graph has 2 vertices)");
+            "line 1: bad sink 2");
   EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq -1 1 1 5\n"),
-            "line 3: source vertex -1 out of range (graph has 2 vertices)");
+            "line 3: bad source -1");
   EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 1 1 1 5\n"),
-            "line 3: source and target are the same vertex");
+            "line 3: s == t");
   EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 0 1 0 5\n"),
-            "line 3: path count k 0 below 1");
+            "line 3: k = 0");
   EXPECT_EQ(message("p krsp 2 1\na 0 1 1 1\nq 0 1 1 -1\n"),
-            "line 3: delay bound -1 below 0");
+            "line 3: D = -1");
 }
 
 // Seeded mutations of a valid instance text: bit flips, byte overwrites,

@@ -7,15 +7,21 @@
 //    fresh solve on every one;
 //  * per-request failures surface as kFailed results, never exceptions,
 //    and never disturb their batch neighbors;
+//  * every class of instance outside the paper's model fails with the
+//    same `instance: ...` reason through every entry point;
 //  * deadline-bounded requests return structurally valid anytime results.
 #include "api/krsp.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/cycle_cancel.h"
+#include "core/phase1.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
@@ -128,6 +134,108 @@ TEST(Engine, PerRequestFailureIsIsolated) {
     if (i == 2) continue;
     EXPECT_NE(results[i].status, SolveStatus::kFailed) << i;
     EXPECT_TRUE(results[i].error.empty()) << i;
+  }
+}
+
+// An instance on the diamond 0→1→3, 0→2→3: its query, edge 0's weights,
+// the reason core::query_error gives for the query ("" for a valid one)
+// and the one every entry point fails with: the check's message after
+// its "file:line — " prefix. The defaults are a valid instance.
+struct InstanceCase {
+  const char* name;
+  std::int64_t s = 0, t = 3, k = 2, delay_bound = 6;
+  graph::Cost cost0 = 1;    // edge 0's weights
+  graph::Delay delay0 = 1;
+  const char* query_reason;
+  const char* reason;
+};
+
+// One row per class of instance outside the paper's model (Definition 2).
+const InstanceCase kInvalidClasses[] = {
+    {.name = "bad s", .s = 7, .query_reason = "bad source 7",
+     .reason = "instance: bad source 7"},
+    {.name = "bad t", .t = -1, .query_reason = "bad sink -1",
+     .reason = "instance: bad sink -1"},
+    {.name = "s = t", .t = 0, .query_reason = "s == t",
+     .reason = "instance: s == t"},
+    {.name = "k = 0", .k = 0, .query_reason = "k = 0",
+     .reason = "instance: k = 0"},
+    {.name = "k past int32", .k = (std::int64_t{1} << 32) + 2,
+     .query_reason = "k = 4294967298", .reason = nullptr},
+    {.name = "D < 0", .delay_bound = -3, .query_reason = "D = -3",
+     .reason = "instance: D = -3"},
+    {.name = "negative cost", .cost0 = -100, .query_reason = "",
+     .reason = "instance: negative cost edge"},
+    {.name = "negative delay", .delay0 = -1, .query_reason = "",
+     .reason = "instance: negative delay edge"},
+};
+
+Instance diamond(const InstanceCase& row) {
+  Instance inst;
+  inst.graph.resize(4);
+  inst.graph.add_edge(0, 1, row.cost0, row.delay0);
+  inst.graph.add_edge(1, 3, 1, 1);
+  inst.graph.add_edge(0, 2, 2, 2);
+  inst.graph.add_edge(2, 3, 2, 2);
+  inst.s = static_cast<graph::VertexId>(row.s);
+  inst.t = static_cast<graph::VertexId>(row.t);
+  inst.k = static_cast<int>(row.k);
+  inst.delay_bound = row.delay_bound;
+  return inst;
+}
+
+std::string reason_of(const std::string& message) {
+  const std::string sep = " — ";
+  const auto at = message.find(sep);
+  return at == std::string::npos ? message : message.substr(at + sep.size());
+}
+
+std::shared_ptr<const TopologyRef> topology_of(Instance inst) {
+  auto ref = std::make_shared<TopologyRef>();
+  ref->id = "diamond";
+  ref->instance = std::make_shared<const Instance>(std::move(inst));
+  return ref;
+}
+
+TEST(InstanceRule, EveryEntryPointRefusesEachInvalidClass) {
+  Engine engine(EngineOptions{.num_threads = 2});
+  const InstanceCase valid{.name = "valid", .query_reason = "", .reason = ""};
+  const auto good_topology = topology_of(diamond(valid));
+  for (const InstanceCase& row : kInvalidClasses) {
+    SCOPED_TRACE(row.name);
+    EXPECT_EQ(core::query_error(4, row.s, row.t, row.k, row.delay_bound),
+              row.query_reason);
+    if (row.reason == nullptr) continue;  // Instance::k is an int
+    const Instance bad = diamond(row);
+    const auto expect_failed = [&](const SolveResult& r, const char* path) {
+      EXPECT_EQ(r.status, SolveStatus::kFailed) << path;
+      EXPECT_EQ(reason_of(r.error), row.reason) << path;
+    };
+    for (const Mode mode :
+         {Mode::kScaled, Mode::kExactWeights, Mode::kPhase1Only}) {
+      SolveRequest inline_request;
+      inline_request.instance = bad;
+      inline_request.mode = mode;
+      expect_failed(Solver::solve(inline_request), "inline");
+      expect_failed(engine.submit(inline_request).get(), "engine");
+
+      SolveRequest by_ref;
+      by_ref.topology = topology_of(bad);
+      by_ref.mode = mode;
+      expect_failed(Solver::solve(by_ref), "bad topology");
+
+      if (*row.query_reason == '\0') continue;  // an override has no weights
+      SolveRequest overridden;
+      overridden.topology = good_topology;
+      overridden.query_override = QueryOverride{
+          bad.s, bad.t, bad.k, bad.delay_bound};
+      overridden.mode = mode;
+      expect_failed(Solver::solve(overridden), "bad override");
+      EXPECT_THROW((void)overridden.materialized_instance(), util::CheckError);
+    }
+    EXPECT_THROW((void)core::phase1_lagrangian(bad), util::CheckError);
+    EXPECT_THROW((void)core::cancel_cycles(bad, PathSet{}, 1, {}),
+                 util::CheckError);
   }
 }
 

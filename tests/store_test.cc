@@ -1,9 +1,11 @@
 // The zero-copy instance store and the topology catalog: `.krspb`
 // round-trips, every corruption class the format contract promises to
 // reject (bad magic/version/endianness, truncation, counts that wrap the
-// section sizes, digest mismatch, broken id permutation) plus a seeded
-// mutation suite, catalog lookup semantics, and the O(1)
-// fingerprint-prefix path producing values identical to inline hashing.
+// section sizes, digest mismatch, broken id permutation) and every
+// instance outside the paper's model (a negative weight, a stored query
+// core::query_error refuses) plus a seeded mutation suite, catalog lookup
+// semantics, and the O(1) fingerprint-prefix path producing values
+// identical to inline hashing.
 // Runs under ASan/UBSan in the sanitizer matrix on purpose: mmap
 // lifetime and alignment bugs are exactly what sanitizers catch.
 #include <gtest/gtest.h>
@@ -14,7 +16,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,6 +66,73 @@ void expect_rejected(const std::string& path, const std::string& needle) {
     EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
         << "actual message: " << e.what();
   }
+}
+
+constexpr int kMutationTrials = 2000;
+
+template <class T>
+std::vector<T> words_at(const std::vector<char>& bytes, std::uint64_t off,
+                        std::uint64_t count) {
+  std::vector<T> words(count);
+  if (count > 0)
+    std::memcpy(words.data(), bytes.data() + off, count * sizeof(T));
+  return words;
+}
+
+/// Re-stamps the digest of a patched container image the way write_file
+/// computes it, so open() gets past the digest check to the checks after
+/// it. Returns false and leaves the image alone when its header's counts
+/// or section offsets do not fit the bytes (open() refuses those first).
+bool restamp_digest(std::vector<char>& bytes) {
+  const std::uint64_t size = bytes.size();
+  if (size < sizeof(Header)) return false;
+  Header h;
+  std::memcpy(&h, bytes.data(), sizeof(h));
+  const auto n = static_cast<std::uint64_t>(h.num_vertices);
+  const auto m = static_cast<std::uint64_t>(h.num_edges);
+  const auto fits = [size](std::uint64_t off, std::uint64_t count,
+                           std::uint64_t width) {
+    return count < size && off <= size && count * width <= size - off;
+  };
+  if (!fits(h.off_offsets, n + 1, 8) || !fits(h.off_targets, m, 4) ||
+      !fits(h.off_costs, m, 8) || !fits(h.off_delays, m, 8) ||
+      !fits(h.off_ids, m, 4))
+    return false;
+  h.digest = compute_digest(
+      h, words_at<std::uint64_t>(bytes, h.off_offsets, n + 1),
+      words_at<std::int32_t>(bytes, h.off_targets, m),
+      words_at<graph::Cost>(bytes, h.off_costs, m),
+      words_at<graph::Delay>(bytes, h.off_delays, m),
+      words_at<std::int32_t>(bytes, h.off_ids, m));
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  return true;
+}
+
+/// Writes `bytes` as `name`.krspb, alone in a fresh directory, and expects
+/// CsrContainer::open and TopologyCatalog::load each to refuse it with a
+/// CheckError naming the file and mentioning `needle`.
+void expect_load_refused(const std::vector<char>& bytes,
+                         const std::string& name, const std::string& needle) {
+  const std::string dir = temp_path("refused_" + name);
+  std::filesystem::create_directories(dir);
+  const std::string file = name + ".krspb";
+  spit(dir + "/" + file, bytes);
+  const auto expect_refused = [&](const auto& load, const char* what) {
+    try {
+      load();
+      ADD_FAILURE() << what << " accepted " << file;
+    } catch (const util::CheckError& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(file), std::string::npos)
+          << what << ": " << message;
+      EXPECT_NE(message.find(needle), std::string::npos)
+          << what << ": " << message;
+    }
+  };
+  expect_refused([&] { (void)CsrContainer::open(dir + "/" + file); },
+                 "CsrContainer::open");
+  expect_refused([&] { (void)TopologyCatalog::load(dir); },
+                 "TopologyCatalog::load");
 }
 
 void expect_same_instance(const core::Instance& a, const core::Instance& b) {
@@ -176,23 +244,39 @@ TEST(StoreTest, RejectsBrokenIdPermutation) {
   std::int32_t zero = 0;
   std::memcpy(bad.data() + header.off_ids + sizeof(std::int32_t), &zero,
               sizeof(zero));
-  const auto m = static_cast<std::size_t>(header.num_edges);
-  const auto n = static_cast<std::size_t>(header.num_vertices);
-  const auto span_at = [&](std::uint64_t off, std::size_t count, auto tag) {
-    using T = decltype(tag);
-    return std::span<const T>(reinterpret_cast<const T*>(bad.data() + off),
-                              count);
-  };
-  header.digest = compute_digest(
-      header, span_at(header.off_offsets, n + 1, std::uint64_t{}),
-      span_at(header.off_targets, m, std::int32_t{}),
-      span_at(header.off_costs, m, graph::Cost{}),
-      span_at(header.off_delays, m, graph::Delay{}),
-      span_at(header.off_ids, m, std::int32_t{}));
-  std::memcpy(bad.data(), &header, sizeof(header));
+  ASSERT_TRUE(restamp_digest(bad));
   const std::string path = temp_path("badids.krspb");
   spit(path, bad);
   expect_rejected(path, "not a permutation");
+}
+
+// Containers outside the paper's model that write_file would never
+// produce (it validates the instance), patched from a valid one with the
+// digest re-stamped: the loader applies the instance rule itself, so a
+// negative weight does not surface later as a failed solve and a stored
+// k past int32 is not narrowed into another query.
+TEST(StoreTest, RejectsNegativeArcCost) {
+  const std::string good = temp_path("negcost_src.krspb");
+  CsrContainer::write_file(good, random_instance(71));
+  std::vector<char> bad = slurp(good);
+  Header header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  const graph::Cost cost = -100;
+  std::memcpy(bad.data() + header.off_costs, &cost, sizeof(cost));
+  ASSERT_TRUE(restamp_digest(bad));
+  expect_load_refused(bad, "negcost", "negative arc cost or delay");
+}
+
+TEST(StoreTest, RejectsStoredKPastInt32) {
+  const std::string good = temp_path("bigk_src.krspb");
+  CsrContainer::write_file(good, random_instance(73));
+  std::vector<char> bad = slurp(good);
+  Header header;
+  std::memcpy(&header, bad.data(), sizeof(header));
+  header.k = (std::int64_t{1} << 32) + 2;
+  std::memcpy(bad.data(), &header, sizeof(header));
+  ASSERT_TRUE(restamp_digest(bad));
+  expect_load_refused(bad, "bigk", "invalid stored query: k = 4294967298");
 }
 
 TEST(StoreTest, RejectsEdgeCountThatWrapsSectionSizes) {
@@ -216,25 +300,21 @@ TEST(StoreTest, RejectsEdgeCountThatWrapsSectionSizes) {
   expect_rejected(path, "edge count exceeds the file size");
 }
 
-TEST(StoreTest, MutatedContainersAreRejectedOrUnchanged) {
-  // Seeded mutations of a valid container: bit flips, byte overwrites,
-  // truncations, and header words replaced with edge values. Each mutant
-  // must be rejected with a CheckError or load as the original instance,
-  // edge for edge (a mutation of padding or reserved bytes changes
-  // nothing) — never crash or yield a different graph.
-  const core::Instance original = random_instance(61);
-  const std::string good = temp_path("mutate_src.krspb");
-  CsrContainer::write_file(good, original);
-  const std::vector<char> bytes = slurp(good);
+// One seeded mutation pass over a valid container image: bit flips, byte
+// overwrites, truncations, and header words replaced with edge values.
+// With `restamp` each mutant's digest is re-stamped before it is opened.
+// Returns how many mutants were refused.
+int mutation_pass(const std::vector<char>& bytes,
+                  const core::Instance& original, bool restamp) {
   const std::string path = temp_path("mutant.krspb");
   util::Rng rng(2026);
   const auto pick = [&](std::size_t size) {
     return static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(size) - 1));
   };
-  constexpr int kTrials = 2000;
   int rejected = 0;
-  for (int trial = 0; trial < kTrials; ++trial) {
+  int refused_past_digest = 0;
+  for (int trial = 0; trial < kMutationTrials; ++trial) {
     SCOPED_TRACE("trial " + std::to_string(trial));
     std::vector<char> bad = bytes;
     switch (trial % 4) {
@@ -260,16 +340,55 @@ TEST(StoreTest, MutatedContainersAreRejectedOrUnchanged) {
         break;
       }
     }
+    const bool restamped = restamp && restamp_digest(bad);
     spit(path, bad);
     try {
       const CsrContainer c = CsrContainer::open(path);
-      expect_same_instance(c.instance(), original);
-    } catch (const util::CheckError&) {
+      const core::Instance inst = c.instance();
+      if (!restamp) {
+        expect_same_instance(inst, original);
+        continue;
+      }
+      Header header;
+      std::memcpy(&header, bad.data(), sizeof(header));
+      EXPECT_NO_THROW(inst.validate());
+      EXPECT_EQ(inst.s, header.s);
+      EXPECT_EQ(inst.t, header.t);
+      EXPECT_EQ(inst.k, header.k);
+      EXPECT_EQ(inst.delay_bound, header.delay_bound);
+    } catch (const util::CheckError& e) {
       ++rejected;
+      const std::string message = e.what();
+      if (!restamped) continue;
+      EXPECT_EQ(message.find("digest mismatch"), std::string::npos) << message;
+      refused_past_digest +=
+          message.find("negative arc cost or delay") != std::string::npos ||
+          message.find("invalid stored query") != std::string::npos;
     }
   }
+  // Sign flips in the weight sections and query words in the header.
+  if (restamp) {
+    EXPECT_GT(refused_past_digest, 0);
+  }
+  return rejected;
+}
+
+// Each mutant must be rejected with a CheckError or load as the original
+// instance, edge for edge (a mutation of padding or reserved bytes changes
+// nothing) — never crash or yield a different graph. With the digest
+// re-stamped the same mutants reach the checks past the digest: each must
+// be refused, or load to an instance inside the paper's model that asks
+// the header's exact query.
+TEST(StoreTest, MutatedContainersAreRejectedOrUnchanged) {
+  const core::Instance original = random_instance(61);
+  const std::string good = temp_path("mutate_src.krspb");
+  CsrContainer::write_file(good, original);
+  const std::vector<char> bytes = slurp(good);
   // Padding and reserved bytes are a small share of the file.
-  EXPECT_GT(rejected, kTrials * 9 / 10);
+  EXPECT_GT(mutation_pass(bytes, original, /*restamp=*/false),
+            kMutationTrials * 9 / 10);
+  SCOPED_TRACE("digest re-stamped");
+  (void)mutation_pass(bytes, original, /*restamp=*/true);
 }
 
 TEST(StoreTest, OpenMissingFileNamesThePath) {

@@ -9,8 +9,12 @@
 // format works as --in (suffix decides the parser). --verify runs the
 // complete CsrContainer::open contract — magic, endianness, section
 // bounds/alignment, CSR monotonicity, edge-id permutation, content
-// digest — and prints the first violated invariant on failure, which is
-// how scripts/make_corpus.sh proves the committed corpus is intact.
+// digest, then the instance rule (non-negative weights, a valid stored
+// query) — and prints the first violated invariant on failure; --info
+// opens the file the same way, so neither prints a container the
+// catalog would refuse. CI proves the committed corpus intact without
+// this tool: a fresh scripts/make_corpus.sh run must match it byte for
+// byte (`diff -r`), and the ctests that serve it open every file.
 #include <iostream>
 
 #include "core/io.h"
@@ -30,13 +34,6 @@ bool is_container(const std::string& path) {
   return path.size() >= 6 && path.ends_with(".krspb");
 }
 
-std::string hex64(std::uint64_t x) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(x));
-  return buf;
-}
-
 int info(const std::string& path) {
   const store::CsrContainer c = store::CsrContainer::open(path);
   server::wire::ObjectWriter w;
@@ -47,7 +44,7 @@ int info(const std::string& path) {
   w.field("t", static_cast<std::int64_t>(c.t()));
   w.field("k", static_cast<std::int64_t>(c.k()));
   w.field("delay_bound", static_cast<std::int64_t>(c.delay_bound()));
-  w.field("digest", hex64(c.digest()));
+  w.field("digest", store::hex_digest(c.digest()));
   w.field("file_bytes", c.file_bytes());
   std::cout << w.done() << "\n";
   return 0;
@@ -66,8 +63,8 @@ int run(int argc, char** argv) {
     if (!verify_path.empty()) {
       const store::CsrContainer c = store::CsrContainer::open(verify_path);
       std::cout << "ok: " << verify_path << " n=" << c.num_vertices()
-                << " m=" << c.num_edges() << " digest=" << hex64(c.digest())
-                << "\n";
+                << " m=" << c.num_edges()
+                << " digest=" << store::hex_digest(c.digest()) << "\n";
       return 0;
     }
     if (in.empty() || out.empty()) {

@@ -98,3 +98,31 @@ foreach(case "SOLVE;--instance=${malformed}" "BATCH;--instances=${malformed}"
     message(FATAL_ERROR "bad input file '${case}' gave (${rc}): ${out}${err}")
   endif()
 endforeach()
+
+# Containers outside the instance model are load errors naming the file,
+# in every tool that opens one: krsp_pack --verify and --info exit 1, and
+# krsp_serve --catalog exits 1 before it listens (the timeout catches a
+# daemon that starts serving). Each fixture in data/invalid is a valid
+# 2-vertex container (`p krsp 2 1`, `a 0 1 3 2`, `q 0 1 1 5`, written by
+# CsrContainer::write_file) patched to one arc cost of -100 or to a
+# header k of 2^32 + 2, its digest re-stamped with store::compute_digest.
+foreach(case "negative_cost;negative arc cost or delay"
+             "k_past_int32;invalid stored query: k = 4294967298")
+  list(POP_FRONT case name)
+  set(catalog "${WORK_DIR}/invalid_${name}")
+  file(REMOVE_RECURSE ${catalog})
+  file(COPY ${INVALID_DIR}/${name}.krspb DESTINATION ${catalog})
+  set(refusal "${name}\\.krspb: ${case}")
+  foreach(command "PACK;--verify=${catalog}/${name}.krspb"
+                  "PACK;--info=${catalog}/${name}.krspb"
+                  "SERVE;--socket=${WORK_DIR}/invalid.sock;--catalog=${catalog}")
+    list(POP_FRONT command tool)
+    execute_process(
+      COMMAND ${KRSP_${tool}} ${command}
+      TIMEOUT 30
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1 OR NOT err MATCHES "${refusal}")
+      message(FATAL_ERROR "invalid container '${command}' gave (${rc}): ${out}${err}")
+    endif()
+  endforeach()
+endforeach()
